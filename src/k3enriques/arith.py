@@ -1,8 +1,11 @@
-"""Quadratic residues, the embedding obstruction, and slope polygon bookkeeping.
+"""Primes, quadratic residues, the embedding obstruction, and slope polygons.
 
 The residue side drives the existence criterion: the obstruction condition
 asks a twisted discriminant to be a non-square mod p, and the d-search looks
 for the smallest twist parameter below p/8 with the prescribed residue class.
+Primality is decided by Miller-Rabin (plus a strong Lucas test past its exact
+range) and composites are split by Pollard-Brent, so no step divides by every
+number up to a square root.
 The polygon side records the Newton/Hodge slope constraints for the second
 cohomology of a K3 surface (rank 22, slopes symmetric about 1).
 """
@@ -11,20 +14,152 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 K3_RANK = 22
 HODGE_SLOPES = ((Fraction(0), 1), (Fraction(1), 20), (Fraction(2), 1))
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# _PSI[t - 1] = psi_t, the least odd composite passing Miller-Rabin to the
+# first t prime bases (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2015)
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
 def is_odd_prime(p: int) -> bool:
+    """Whether p is an odd prime.
+
+    Deterministic Miller-Rabin to the prime bases 2..41, which no odd
+    composite below psi_13 = 3317044064679887385961981 passes (Sorenson and
+    Webster 2015), so the answer is exact for p < psi_13; below psi_t only
+    the first t bases are needed.  From psi_13 on, a strong Lucas test is
+    added, which makes the whole a Baillie-PSW test: no composite is known to
+    pass it, but none is proven not to.
+    """
     if p < 3 or p % 2 == 0:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    t = next((t for t, psi in enumerate(_PSI, 1) if p < psi), len(_PSI))
+    return _miller_rabin(p, _MR_BASES[:t]) and (p < _PSI[-1] or _strong_lucas(p))
+
+
+def _miller_rabin(n: int, bases) -> bool:
+    """Whether the odd n > 2 is a strong probable prime to every base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd positive n."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test, Selfridge's parameters (P = 1).
+
+    n is odd, above 41 and free of prime factors up to 41.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    # U_k, V_k and Q^k mod n for k running through the leading bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n, by Brent's variant of Pollard rho.
+
+    The walk x -> x^2 + c starts at 2 with c = 1, 2, ... in turn, so the
+    factor returned is the same on every run.
+    """
+    m = 128
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def legendre(a: int, p: int) -> int:
@@ -46,7 +181,8 @@ def arth(p: int, sigma: int, d: int) -> bool:
         raise ValueError("d must be nonzero")
     if not is_odd_prime(p) or (2 * d) % p == 0:
         raise ValueError(f"p = {p} must be an odd prime not dividing 2d")
-    return legendre((-1) ** (sigma + 1) * d, p) == -1
+    # Euler's criterion; p is already known to be an odd prime
+    return pow((-1) ** (sigma + 1) * d % p, (p - 1) // 2, p) == p - 1
 
 
 def find_d(p: int, sigma: int) -> int | None:
@@ -59,10 +195,12 @@ def find_d(p: int, sigma: int) -> int | None:
         raise ValueError("sigma must be in 2..5")
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    want = 1 if sigma in (2, 4) else -1
+    # Euler's criterion for -d; d < p / 8, so p never divides d
+    want = 1 if sigma in (2, 4) else p - 1
+    half = (p - 1) // 2
     d = 1
     while 8 * d < p:
-        if d % p != 0 and legendre(-d, p) == want:
+        if pow(-d % p, half, p) == want:
             return d
         d += 1
     return None

@@ -15,6 +15,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isqrt
 
 from .arith import arth, find_d, is_odd_prime, legendre, verify_norm_bound
 from .embeddings import (
@@ -24,9 +25,10 @@ from .embeddings import (
     orthogonal_complement,
 )
 from .enumeration import count_norm
-from .intmat import det, intmat, rat_inv, zeros
+from .intmat import intmat, rat_inv, snf, zeros
 from .lattice import (
     IntegralLattice,
+    _prime_powers,
     builtin,
     direct_sum,
     discriminant,
@@ -136,8 +138,6 @@ def _compute_case(sigma: int, d: int, ambient: IntegralLattice, basis) -> CaseCe
 
     checks = []
 
-    from .intmat import snf
-
     s, _, _ = snf(emb.basis)
     snf_divs = [int(s[i, i]) for i in range(emb.rank)]
     checks.append(
@@ -219,20 +219,17 @@ def _compute_case(sigma: int, d: int, ambient: IntegralLattice, basis) -> CaseCe
 
     n_divs = [int(x) for x in discriminant_group(n_lat).divisors]
     formula = _N_DIVISOR_FORMULA[sigma](d)
-    from .lattice import _prime_powers
-
-    def pp(divs):
-        return sorted(q for x in divs for q in _prime_powers(x))
-
+    n_pp = sorted(q for x in n_divs for q in _prime_powers(x))
+    formula_pp = sorted(q for x in formula for q in _prime_powers(x))
     checks.append(
         Check(
             "n_divisors",
-            pp(n_divs) == pp(formula),
+            n_pp == formula_pp,
             {
                 "computed": n_divs,
                 "formula": formula,
-                "computed_prime_powers": pp(n_divs),
-                "formula_prime_powers": pp(formula),
+                "computed_prime_powers": n_pp,
+                "formula_prime_powers": formula_pp,
             },
         )
     )
@@ -292,8 +289,6 @@ def _compute_case(sigma: int, d: int, ambient: IntegralLattice, basis) -> CaseCe
 def _is_square(n: int) -> bool:
     if n < 0:
         return False
-    from math import isqrt
-
     return isqrt(n) ** 2 == n
 
 
@@ -310,9 +305,10 @@ def build_case(sigma: int, d: int) -> CaseCertificate:
 def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     """Re-verify a certificate document from its stored matrices.
 
-    Every check is recomputed from the stored ambient Gram and embedding
-    basis; any mismatch with the stored witnesses, complement data, or pass
-    flags fails the verification.
+    The ambient Gram must be exactly that of gamma2_ambient(); a document
+    with any other ambient is refused before any exact work.  Every check is
+    then recomputed from the embedding basis; any mismatch with the stored
+    witnesses, complement data, or pass flags fails the verification.
     """
     messages: list[str] = []
     required = (
@@ -328,8 +324,10 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     missing = [k for k in required if k not in doc]
     if missing:
         return False, [f"missing fields: {missing}"]
+    ambient = gamma2_ambient()
+    if doc["ambient_gram"] != ambient.gram.tolist():
+        return False, [f"ambient_gram is not the Gram matrix of {ambient.label}"]
     try:
-        ambient = IntegralLattice(doc["ambient_gram"])
         fresh = _compute_case(
             int(doc["sigma"]), int(doc["d"]), ambient, intmat(doc["embedding_basis"])
         ).to_doc()

@@ -14,12 +14,13 @@ from math import gcd
 
 import numpy as np
 
-from .intmat import det, intmat, kernel_basis, rat_inv, ratmat, snf, unimodular_inv, zeros
+from .intmat import det, hnf, intmat, kernel_basis, ratmat, snf, unimodular_inv, zeros
 from .lattice import (
     DiscriminantGroup,
     IntegralLattice,
     _mod1,
     _mod2,
+    _prime_powers,
 )
 
 
@@ -122,8 +123,6 @@ def overlattice(M: IntegralLattice, glue_gens) -> Overlattice:
     for k, g in enumerate(gens):
         for j in range(n):
             rows[n + k, j] = int(g[j] * denom)
-    from .intmat import hnf
-
     h, _ = hnf(rows)
     w = ratmat(h[:n]) / denom
     new_gram_q = w @ G @ w.T
@@ -276,8 +275,6 @@ def coprime_complement_disc(
 
     # split into prime-power components, canonical order
     split = []
-    from .lattice import _prime_powers
-
     for d, g, q, src in comps:
         for pe in _prime_powers(d):
             a = d // pe

@@ -13,9 +13,8 @@ from fractions import Fraction
 from importlib import resources
 from math import prod
 
-import numpy as np
-
-from .intmat import det, intmat, rat_inv, ratmat, snf, unimodular_inv, zeros
+from .arith import _pollard_brent, is_odd_prime
+from .intmat import det, intmat, ratmat, snf, zeros
 
 
 class IntegralLattice:
@@ -163,21 +162,39 @@ def _mod2(x: Fraction) -> Fraction:
     return x - 2 * (x.numerator // (2 * x.denominator))
 
 
+_TRIAL_LIMIT = 1000
+
+
 def _prime_powers(n: int) -> list[int]:
-    """Prime-power factorization of n as a list [p^e, ...], p ascending."""
+    """Prime-power factorization of n as a list [p^e, ...], p ascending.
+
+    Trial division by p < 1000, then Pollard-Brent on the cofactor, each
+    piece of which is tested by arith.is_odd_prime.
+    """
     out = []
-    p = 2
-    while p * p <= n:
+    for p in range(2, _TRIAL_LIMIT):
+        if p * p > n:
+            break
         if n % p == 0:
             q = 1
             while n % p == 0:
                 q *= p
                 n //= p
             out.append(q)
-        p += 1
-    if n > 1:
+    if 1 < n < _TRIAL_LIMIT**2:  # no factor below sqrt(n): prime
         out.append(n)
+    elif n > 1:
+        primes = sorted(_prime_factors(n))
+        out += [p ** primes.count(p) for p in sorted(set(primes))]
     return out
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Primes of the odd n > 1, with multiplicity, in no particular order."""
+    if is_odd_prime(n):
+        return [n]
+    f = _pollard_brent(n)
+    return _prime_factors(f) + _prime_factors(n // f)
 
 
 @dataclass(frozen=True)
@@ -225,34 +242,30 @@ class DiscriminantGroup:
 def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:
     """Elementary divisors and generators of L*/L, with b and q values.
 
-    Generators are read off the SNF transforms: with U G V = S, the classes
-    of the columns of G^-1 U^-1 generate, the i-th having order S[i, i].
+    Generators are read off the SNF transform V: with U G V = S, the columns
+    of G^-1 U^-1 = V S^-1 generate, the i-th, V[:, i] / S[i, i], having order
+    S[i, i].  With the columns reduced mod S[i, i] into W, b and q are the
+    entries of the integer matrix W^T G W divided by S[i, i] S[j, j].
     """
-    n = L.rank
-    if n == 0 or det(L.gram) == 0:
-        if n > 0 and det(L.gram) == 0:
-            raise ValueError("degenerate form has no discriminant group")
+    if L.rank == 0:
         return DiscriminantGroup((), (), (), ())
-    s, u, _ = snf(L.gram)
-    t = rat_inv(L.gram) @ ratmat(unimodular_inv(u))
-    pairs = []
-    for i in range(n):
-        d = int(s[i, i])
-        if d > 1:
-            g = tuple(_mod1(t[j, i]) for j in range(n))
-            pairs.append((d, g))
-    pairs.sort(key=lambda p: (p[0], p[1]))
-    gens = [np.array([Fraction(x) for x in g], dtype=object) for _, g in pairs]
-    G = ratmat(L.gram)
-    bform = tuple(
-        tuple(_mod1(gi @ G @ gj) for gj in gens) for gi in gens
+    s, _, v = snf(L.gram)
+    divs = [int(s[i, i]) for i in range(L.rank)]
+    if 0 in divs:
+        raise ValueError("degenerate form has no discriminant group")
+    cols = sorted(
+        (d, tuple(int(x) % d for x in v[:, i])) for i, d in enumerate(divs) if d > 1
     )
-    qvals = tuple(_mod2(gi @ G @ gi) for gi in gens)
+    w = intmat([c for _, c in cols])
+    w = w @ L.gram @ w.T if cols else w
     return DiscriminantGroup(
-        tuple(d for d, _ in pairs),
-        tuple(g for _, g in pairs),
-        bform,
-        qvals,
+        tuple(d for d, _ in cols),
+        tuple(tuple(Fraction(x, d) for x in c) for d, c in cols),
+        tuple(
+            tuple(Fraction(int(w[i, j]) % (di * dj), di * dj) for j, (dj, _) in enumerate(cols))
+            for i, (di, _) in enumerate(cols)
+        ),
+        tuple(Fraction(int(w[i, i]) % (2 * d * d), d * d) for i, (d, _) in enumerate(cols)),
     )
 
 

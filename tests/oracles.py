@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's algorithms: determinants by cofactor
 expansion, invariant factors from gcds of minors, Hermite forms by plain
-column-at-a-time reduction, and short vectors by exhaustive box enumeration.
+column-at-a-time reduction, short vectors by exhaustive box enumeration, and
+primality and factorization by trial division.
 """
 from fractions import Fraction
 from itertools import combinations, product
@@ -11,6 +12,35 @@ from math import gcd, isqrt
 import numpy as np
 
 from k3enriques.intmat import rat_inv
+
+
+def trial_is_prime(n):
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def trial_prime_powers(n):
+    """Prime-power factorization [p^e, ...] of n > 0, p ascending, by trial division."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            q = 1
+            while n % f == 0:
+                q *= f
+                n //= f
+            out.append(q)
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def naive_det(m):

@@ -1,11 +1,18 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3enriques.arith import (
     NewtonPolygon,
+    _MR_BASES,
+    _PSI,
+    _miller_rabin,
+    _strong_lucas,
     arth,
     find_d,
     frobenius_bounds_enriques,
@@ -15,8 +22,104 @@ from k3enriques.arith import (
     polygon_lies_above,
     verify_norm_bound,
 )
+from k3enriques.checker import build_case, decide_enriques
+from k3enriques.lattice import _prime_powers
+
+from oracles import trial_is_prime, trial_prime_powers
 
 ODD_PRIMES_200 = [p for p in range(3, 201) if is_odd_prime(p)]
+
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-10, max_value=10**6))
+def test_is_odd_prime_matches_trial_division(n):
+    assert is_odd_prime(n) == (n % 2 == 1 and trial_is_prime(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=10**12 - 1))
+def test_is_odd_prime_matches_trial_division_large(n):
+    assert is_odd_prime(n) == (n % 2 == 1 and trial_is_prime(n))
+
+
+def test_is_odd_prime_exhaustive_small():
+    assert [n for n in range(-10, 20000) if is_odd_prime(n)] == [
+        n for n in range(3, 20000, 2) if trial_is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,
+        1105,
+        3825123056546413051,  # passes Miller-Rabin to the bases 2..31
+        PSI12,  # passes Miller-Rabin to the bases 2..37
+        PSI13,  # passes Miller-Rabin to the bases 2..41; the Lucas step rejects it
+    ],
+)
+def test_is_odd_prime_rejects_strong_pseudoprimes(n):
+    assert not is_odd_prime(n)
+
+
+def test_psi_table():
+    # psi_t passes the first t bases, so is_odd_prime must use more bases for it
+    for t, psi in enumerate(_PSI, 1):
+        assert _miller_rabin(psi, _MR_BASES[:t]), t
+        assert not is_odd_prime(psi), t
+
+
+@pytest.mark.parametrize("e", [61, 89, 127])
+def test_is_odd_prime_accepts_mersenne_primes(e):
+    assert is_odd_prime(2**e - 1)
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    # the odd composites below 10^5 that pass the strong Lucas test with
+    # Selfridge's parameters (OEIS A217255), restricted to those coprime to 2..41
+    small = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    tested = [n for n in range(43, 100000, 2) if all(n % b for b in small)]
+    passing = [n for n in tested if _strong_lucas(n)]
+    assert [n for n in passing if not trial_is_prime(n)] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+    ]
+    assert all(_strong_lucas(n) for n in tested if trial_is_prime(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=10**12))
+def test_prime_powers_matches_trial_division(n):
+    out = _prime_powers(n)
+    assert out == trial_prime_powers(n)
+    assert math.prod(out) == n
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(out) for b in out[i + 1 :])
+
+
+def test_prime_powers_large_factors():
+    p, q = 2**31 - 1, 2**61 - 1
+    assert _prime_powers(4 * 1000003**2 * 999983**3) == [4, 999983**3, 1000003**2]
+    assert _prime_powers(q * p) == [p, q]
+    assert _prime_powers(PSI12) == [399165290221, 798330580441]
+    assert _prime_powers(3825123056546413051) == [149491, 747451, 34233211]
+    assert _prime_powers(2**89 - 1) == [2**89 - 1]
+
+
+def test_decide_near_2_64_is_fast():
+    p = 2**64 - 59
+    for sigma in range(1, 11):
+        t0 = time.perf_counter()
+        decide_enriques(p, sigma)
+        assert time.perf_counter() - t0 < 1.0, sigma
+
+
+def test_build_case_large_d_is_fast():
+    build_case.cache_clear()
+    t0 = time.perf_counter()
+    assert build_case(2, 10**14 + 31).passed
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_legendre_examples():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -8,6 +10,7 @@ from k3enriques.checker import (
     survey,
     verify_certificate,
 )
+from k3enriques.lattice import FIXTURES, discriminant_group, fixture_path, load_lattice
 
 
 def _check(cert, name):
@@ -137,6 +140,53 @@ def test_certificate_mutations_fail():
     del mutated["checks"]
     ok, _ = verify_certificate(mutated)
     assert not ok
+
+
+def test_verify_refuses_foreign_ambient_quickly():
+    doc = build_case(3, 276012271).to_doc()
+    assert verify_certificate(doc) == (True, [])
+    mutated = json.loads(json.dumps(doc))
+    mutated["ambient_gram"][1][1] += 2
+    t0 = time.perf_counter()
+    ok, messages = verify_certificate(mutated)
+    assert time.perf_counter() - t0 < 1.0
+    assert not ok
+    assert messages == ["ambient_gram is not the Gram matrix of U(2)+E8(2)"]
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_certificate_digests_pinned():
+    certs = [build_case(s, d).to_doc() for s in range(2, 6) for d in range(1, 6)]
+    assert _digest(certs) == "62af0c776a8769a15a23e0141b8550244a24df87df1bda6eba47bc7efc374536"
+
+
+def test_gamma2_report_digest_pinned(gamma2_report):
+    r = gamma2_report
+    doc = {
+        "checks": [{"name": c.name, "passed": c.passed, "witness": c.witness} for c in r.checks],
+        "glue_order": r.glue_order,
+        "passed": r.passed,
+    }
+    assert _digest(doc) == "75c43041e319836a053f78e2005064634092770e9cea9fe06f14915e1ef710a8"
+
+
+def test_fixture_discriminant_groups_digest_pinned():
+    docs = []
+    for name in FIXTURES:
+        g = discriminant_group(load_lattice(fixture_path(name)))
+        docs.append(
+            [
+                list(g.divisors),
+                [[str(x) for x in v] for v in g.generators],
+                [[str(x) for x in row] for row in g.bform],
+                [str(x) for x in g.qvals],
+            ]
+        )
+    assert _digest(docs) == "f5a23d93380e8a539edbb524af8050a8f56d2948a52e1c01094aa74a66c19153"
 
 
 def test_survey_small():

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from k3enriques.intmat import det
 from k3enriques.lattice import (
@@ -206,3 +209,32 @@ def test_load_malformed(tmp_path):
     path.write_text('{"rank": 2, "gram": [1, 2, 3]}')
     with pytest.raises(ValueError):
         load_lattice(path)
+
+
+def _mod(x: Fraction, m: int) -> Fraction:
+    return x - m * (x.numerator // (m * x.denominator))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**32))
+def test_discriminant_forms_match_triple_products(n, seed):
+    gram = random_even_symmetric(random.Random(seed), n, -3, 3)
+    det_g = det(gram)
+    assume(det_g != 0)
+    dg = discriminant_group(IntegralLattice(gram))
+    assert dg.order == abs(det_g)
+    assert all(b % a == 0 for a, b in zip(dg.divisors, dg.divisors[1:]))
+    G = [[Fraction(int(x)) for x in row] for row in gram]
+
+    def form(x, y):
+        return sum(x[i] * G[i][j] * y[j] for i in range(n) for j in range(n))
+
+    for d, g in zip(dg.divisors, dg.generators):
+        assert d > 1 and all(0 <= x < 1 for x in g)
+        assert math.lcm(*(x.denominator for x in g)) == d  # g has order d mod Z^n
+        # g lies in the dual lattice: g G is integral
+        assert all(sum(g[i] * G[i][j] for i in range(n)).denominator == 1 for j in range(n))
+    for i, gi in enumerate(dg.generators):
+        assert dg.qvals[i] == _mod(form(gi, gi), 2)
+        for j, gj in enumerate(dg.generators):
+            assert dg.bform[i][j] == _mod(form(gi, gj), 1)
