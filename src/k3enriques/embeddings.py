@@ -10,18 +10,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from .intmat import det, hnf, intmat, kernel_basis, ratmat, snf, unimodular_inv, zeros
-from .lattice import (
-    DiscriminantGroup,
-    IntegralLattice,
-    _mod1,
-    _mod2,
-    _prime_powers,
-)
+from .intmat import det, hnf, intmat, kernel_basis, ratmat, snf, zeros
+from .lattice import DiscriminantGroup, IntegralLattice, _prime_powers
 
 
 class LatticeEmbedding:
@@ -58,11 +52,10 @@ def is_primitive(e: LatticeEmbedding) -> bool:
 def saturate(e: LatticeEmbedding) -> LatticeEmbedding:
     """The primitive sublattice with the same rational span.
 
-    With U B V = S, the first r rows of V^-1 span the saturation.
+    The saturated kernel of the right kernel of the basis: the integer
+    vectors orthogonal to every x with basis @ x = 0.
     """
-    _, _, v = snf(e.basis)
-    vinv = unimodular_inv(v)
-    return LatticeEmbedding(e.ambient, vinv[: e.rank])
+    return LatticeEmbedding(e.ambient, kernel_basis(kernel_basis(e.basis.T).T))
 
 
 def orthogonal_complement(e: LatticeEmbedding) -> LatticeEmbedding:
@@ -105,18 +98,15 @@ def overlattice(M: IntegralLattice, glue_gens) -> Overlattice:
         pair = g @ G
         if any(x.denominator != 1 for x in pair):
             raise ValueError("glue vector is not in the dual lattice")
-        q = _mod2(g @ G @ g)
+        q = g @ G @ g % 2
         if q != 0:
             raise ValueError(f"glue is not isotropic: q = {q}")
     for i, gi in enumerate(gens):
         for gj in gens[i + 1 :]:
-            b = _mod1(gi @ G @ gj)
+            b = gi @ G @ gj % 1
             if b != 0:
                 raise ValueError(f"glue is not isotropic: b = {b}")
-    denom = 1
-    for g in gens:
-        for x in g:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for g in gens for x in g))
     rows = zeros(n + len(gens), n)
     for i in range(n):
         rows[i, i] = denom
@@ -133,35 +123,10 @@ def overlattice(M: IntegralLattice, glue_gens) -> Overlattice:
             if x.denominator != 1:
                 raise ValueError("glue does not generate an integral lattice")
             new_gram[i, j] = int(x)
-    dw = _rat_det(w)
-    index = abs(Fraction(1) / dw)
-    if index.denominator != 1:
-        raise AssertionError("overlattice index is not an integer")
-    index = int(index)
+    index = denom**n // abs(det(h[:n]))
     out = Overlattice(new_gram, M, w, index, label=M.label and f"overlattice of {M.label}")
     assert index * index * abs(det(new_gram)) == abs(det(M.gram))
     return out
-
-
-def _rat_det(m) -> Fraction:
-    a = ratmat(m)
-    n = a.shape[0]
-    sign = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i, k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            sign = -sign
-        for i in range(k + 1, n):
-            if a[i, k] != 0:
-                a[i] -= (a[i, k] / a[k, k]) * a[k]
-    return sign * np.prod(np.diagonal(a))
-
-
-def _frac_vec(v) -> tuple:
-    return tuple(_mod1(Fraction(x)) for x in v)
 
 
 @dataclass(frozen=True)
@@ -196,33 +161,34 @@ def glue_data(M: IntegralLattice, N: IntegralLattice, over_basis) -> GlueData:
     ]
     if any(len(r) != m + n for r in rows):
         raise ValueError("over-basis rows must have length rank(M) + rank(N)")
-    gens = [_frac_vec(r) for r in rows]
-    zero = tuple([Fraction(0)] * (m + n))
+    # the closure runs on integer numerators over the common denominator den
+    den = lcm(*(x.denominator for r in rows for x in r))
+    gens = [tuple(x.numerator * (den // x.denominator) % den for x in r) for r in rows]
+    zero = (0,) * (m + n)
     group = {zero}
     frontier = [zero]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
-                y = tuple(_mod1(a + b) for a, b in zip(x, g))
+                y = tuple((a + b) % den for a, b in zip(x, g))
                 if y not in group:
                     group.add(y)
                     nxt.append(y)
         frontier = nxt
     elements = sorted(group)
-    pairs = [(e[:m], e[m:]) for e in elements]
-    s1 = {p[0] for p in pairs}
-    s2 = {p[1] for p in pairs}
-    if len(s1) != len(pairs) or len(s2) != len(pairs):
+    s1 = {e[:m] for e in elements}
+    s2 = {e[m:] for e in elements}
+    if len(s1) != len(elements) or len(s2) != len(elements):
         raise ValueError("glue projections are not injective; not a primitive pair")
-    GM, GN = ratmat(M.gram), ratmat(N.gram)
-    for a, b in pairs:
-        av = np.array(a, dtype=object)
-        bv = np.array(b, dtype=object)
-        if _mod2(av @ GM @ av + bv @ GN @ bv) != 0:
-            raise ValueError("glue group is not isotropic for q_M (+) q_N")
-    gamma = {a: b for a, b in pairs}
-    return GlueData(tuple(pairs), gamma, frozenset(s1), frozenset(s2))
+    a = intmat(elements)
+    am, an = a[:, :m], a[:, m:]
+    q = ((am @ M.gram) * am).sum(axis=1) + ((an @ N.gram) * an).sum(axis=1)
+    if any(x % (2 * den * den) for x in q):
+        raise ValueError("glue group is not isotropic for q_M (+) q_N")
+    frac = [Fraction(k, den) for k in range(den)]
+    gamma = {tuple(frac[k] for k in e[:m]): tuple(frac[k] for k in e[m:]) for e in elements}
+    return GlueData(tuple(gamma.items()), gamma, frozenset(gamma), frozenset(gamma.values()))
 
 
 def identity_map(v):
@@ -230,7 +196,7 @@ def identity_map(v):
 
 
 def negation_map(v):
-    return tuple(_mod1(-Fraction(x)) for x in v)
+    return tuple(-x % 1 for x in v)
 
 
 def extends_to(phibar, psibar, g: GlueData) -> bool:
@@ -240,10 +206,10 @@ def extends_to(phibar, psibar, g: GlueData) -> bool:
     S2, and gamma intertwines them: gamma(phibar(s1)) = psibar(gamma(s1)).
     """
     for s1, s2 in g.elements:
-        t1 = _frac_vec(phibar(s1))
+        t1 = tuple(x % 1 for x in phibar(s1))
         if t1 not in g.gamma:
             return False
-        if g.gamma[t1] != _frac_vec(psibar(s2)):
+        if g.gamma[t1] != tuple(x % 1 for x in psibar(s2)):
             return False
     return True
 
@@ -269,17 +235,17 @@ def coprime_complement_disc(
 
     comps = []  # (order, padded gen, qval, source index or None)
     for i, (d, g, q) in enumerate(zip(dg_M.divisors, dg_M.generators, dg_M.qvals)):
-        comps.append((d, tuple(g) + zero_l, _mod2(-q), ("M", i)))
+        comps.append((d, tuple(g) + zero_l, -q % 2, ("M", i)))
     for i, (d, g, q) in enumerate(zip(dg_L.divisors, dg_L.generators, dg_L.qvals)):
-        comps.append((d, zero_m + tuple(g), _mod2(q), ("L", i)))
+        comps.append((d, zero_m + tuple(g), q % 2, ("L", i)))
 
     # split into prime-power components, canonical order
     split = []
     for d, g, q, src in comps:
         for pe in _prime_powers(d):
             a = d // pe
-            gen = tuple(_mod1(a * x) for x in g)
-            split.append((pe, gen, _mod2(a * a * q), src, a))
+            gen = tuple(a * x % 1 for x in g)
+            split.append((pe, gen, a * a * q % 2, src, a))
     split.sort(key=lambda c: (_prime_powers(c[0])[0], c[0], c[1]))
 
     def b_source(si, ai, sj, aj):
@@ -291,7 +257,7 @@ def coprime_complement_disc(
         val = ai * aj * base
         if side_i == "M":
             val = -val
-        return _mod1(val)
+        return val % 1
 
     bform = tuple(
         tuple(b_source(ci[3], ci[4], cj[3], cj[4]) for cj in split) for ci in split

@@ -228,15 +228,3 @@ def rat_inv(m) -> np.ndarray:
                 inv[i] -= f * inv[col]
     return inv
 
-
-def unimodular_inv(u) -> np.ndarray:
-    """Integer inverse of a unimodular integer matrix."""
-    inv = rat_inv(u)
-    out = zeros(*inv.shape)
-    for i in range(inv.shape[0]):
-        for j in range(inv.shape[1]):
-            x = inv[i, j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out[i, j] = int(x)
-    return out

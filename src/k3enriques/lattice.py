@@ -154,14 +154,6 @@ def signature(L: IntegralLattice) -> tuple[int, int]:
     return plus, minus
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def _mod2(x: Fraction) -> Fraction:
-    return x - 2 * (x.numerator // (2 * x.denominator))
-
-
 _TRIAL_LIMIT = 1000
 
 
@@ -221,22 +213,6 @@ class DiscriminantGroup:
     def structure(self) -> tuple:
         """Canonical prime-power multiset of the group, for comparisons."""
         return tuple(sorted(q for d in self.divisors for q in _prime_powers(d)))
-
-    def prime_power_components(self):
-        """Split each generator into prime-power components.
-
-        Returns a list of (order, generator, qval) triples sorted by prime,
-        then ascending order, then lexicographic on coordinates; the component
-        of order p^e inside an order-d generator g is (d / p^e) * g.
-        """
-        comps = []
-        for d, g, q in zip(self.divisors, self.generators, self.qvals):
-            for pe in _prime_powers(d):
-                a = d // pe
-                gen = tuple(_mod1(a * x) for x in g)
-                comps.append((pe, gen, _mod2(a * a * q)))
-        comps.sort(key=lambda c: (_prime_powers(c[0])[0], c[0], c[1]))
-        return comps
 
 
 def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:

@@ -5,5 +5,5 @@ from k3enriques.checker import gamma2_in_k3
 
 @pytest.fixture(scope="session")
 def gamma2_report():
-    # the glue-group enumeration takes a few seconds; share one run
+    # several tests read the same gamma2_in_k3 report; build it once
     return gamma2_in_k3()

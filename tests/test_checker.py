@@ -4,12 +4,14 @@ import time
 
 import pytest
 
+from k3enriques import checker
 from k3enriques.checker import (
     build_case,
     decide_enriques,
     survey,
     verify_certificate,
 )
+from k3enriques.embeddings import extends_to, identity_map, negation_map
 from k3enriques.lattice import FIXTURES, discriminant_group, fixture_path, load_lattice
 
 
@@ -172,6 +174,19 @@ def test_gamma2_report_digest_pinned(gamma2_report):
         "passed": r.passed,
     }
     assert _digest(doc) == "75c43041e319836a053f78e2005064634092770e9cea9fe06f14915e1ef710a8"
+
+
+def test_gamma2_glue_digest_pinned(monkeypatch):
+    # gamma2_in_k3 reports only the glue order; keep the glue data it builds
+    kept = []
+    computed = checker.glue_data
+    monkeypatch.setattr(checker, "glue_data", lambda *args: kept.append(computed(*args)) or kept[-1])
+    checker.gamma2_in_k3()
+    (g,) = kept
+    elements = [[str(x) for x in s1 + s2] for s1, s2 in g.elements]
+    assert _digest(elements) == "09058c930bb792f0e8d5fa7d17f2f9b30926b1764ec36be476d3d4dfcf3e979c"
+    assert extends_to(identity_map, identity_map, g)
+    assert extends_to(identity_map, negation_map, g)
 
 
 def test_fixture_discriminant_groups_digest_pinned():

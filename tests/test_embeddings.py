@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from k3enriques.embeddings import (
     overlattice,
     saturate,
 )
-from k3enriques.intmat import det
+from k3enriques.intmat import det, hnf
 from k3enriques.lattice import (
     DiscriminantGroup,
     builtin,
@@ -25,6 +26,8 @@ from k3enriques.lattice import (
     signature,
     twist,
 )
+
+from oracles import random_int_matrix
 
 U2 = twist(builtin("U"), 2)
 
@@ -55,6 +58,22 @@ def test_saturate_idempotent():
     assert is_primitive(s) and is_primitive(s2)
     # same rational span
     assert det([[int(s.basis[0] @ s2.basis[0])]]) != 0
+
+
+def test_saturate_contains_basis_and_is_primitive():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        b = random_int_matrix(rng, rng.randint(1, n - 1), n, -6, 6)
+        try:
+            e = LatticeEmbedding(diag_lattice([1] * n), b)
+        except ValueError:
+            continue  # dependent rows
+        s = saturate(e)
+        assert s.rank == e.rank and is_primitive(s)
+        # the rows of e lie in the lattice spanned by the rows of s
+        both, _ = hnf(list(s.basis) + list(e.basis))
+        assert (both[: s.rank] == hnf(s.basis)[0]).all()
 
 
 def test_orthogonal_complement_case21():
@@ -131,6 +150,18 @@ def test_glue_data_trivial():
     assert g.order == 1
     assert extends_to(identity_map, negation_map, g)
     assert extends_to(negation_map, negation_map, g)
+
+
+def test_glue_data_rejects_non_primitive_pair():
+    # 1/2 of diag(4) glued to nothing: the projection to l(N) is not injective
+    with pytest.raises(ValueError, match="not injective"):
+        glue_data(diag_lattice([4]), diag_lattice([-4]), [[F(1, 2), 0], [0, 1]])
+
+
+def test_glue_data_rejects_non_isotropic_glue():
+    # q(1/2, 1/2) = 4/4 + 8/4 = 3, not 0 mod 2
+    with pytest.raises(ValueError, match="not isotropic"):
+        glue_data(diag_lattice([4]), diag_lattice([8]), [[F(1, 2), F(1, 2)], [1, 0], [0, 1]])
 
 
 def test_extends_to_two_torsion():

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from k3enriques.intmat import det, hnf, intmat, kernel_basis, snf, unimodular_inv
+from k3enriques.intmat import det, hnf, intmat, kernel_basis, snf
 from k3enriques.lattice import _E8_GRAM
 
 from oracles import minors_invariant_factors, naive_det, naive_hnf, random_int_matrix
@@ -131,10 +131,3 @@ def test_det_multiplicative():
         b = random_int_matrix(rng, n, n, -5, 5)
         assert det(a @ b) == det(a) * det(b)
 
-
-def test_unimodular_inverse():
-    m = intmat([[1, 2], [1, 3]])
-    inv = unimodular_inv(m)
-    assert (m @ inv == intmat([[1, 0], [0, 1]])).all()
-    with pytest.raises(ValueError):
-        unimodular_inv([[2, 0], [0, 1]])
