@@ -219,8 +219,9 @@ def _compute_case(sigma: int, d: int, ambient: IntegralLattice, basis) -> CaseCe
 
     n_divs = [int(x) for x in discriminant_group(n_lat).divisors]
     formula = _N_DIVISOR_FORMULA[sigma](d)
-    n_pp = sorted(q for x in n_divs for q in _prime_powers(x))
-    formula_pp = sorted(q for x in formula for q in _prime_powers(x))
+    pp = {x: _prime_powers(x) for x in {*n_divs, *formula}}
+    n_pp = sorted(q for x in n_divs for q in pp[x])
+    formula_pp = sorted(q for x in formula for q in pp[x])
     checks.append(
         Check(
             "n_divisors",

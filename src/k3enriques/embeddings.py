@@ -25,8 +25,7 @@ class LatticeEmbedding:
         b = intmat(basis)
         if b.shape[1] != ambient.rank:
             raise ValueError("basis rows must live in the ambient lattice")
-        s, _, _ = snf(b)
-        if any(s[i, i] == 0 for i in range(b.shape[0])):
+        if det(b @ b.T) == 0:
             raise ValueError("basis rows must be linearly independent")
         self.ambient = ambient
         self.basis = b
@@ -164,18 +163,14 @@ def glue_data(M: IntegralLattice, N: IntegralLattice, over_basis) -> GlueData:
     # the closure runs on integer numerators over the common denominator den
     den = lcm(*(x.denominator for r in rows for x in r))
     gens = [tuple(x.numerator * (den // x.denominator) % den for x in r) for r in rows]
-    zero = (0,) * (m + n)
-    group = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple((a + b) % den for a, b in zip(x, g))
-                if y not in group:
-                    group.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    # close by cosets: g joins as group + k*g until k*g falls back into group
+    group = {(0,) * (m + n)}
+    for g in gens:
+        coset, added = g, []
+        while coset not in group:
+            added += [tuple((a + b) % den for a, b in zip(x, coset)) for x in group]
+            coset = tuple((a + b) % den for a, b in zip(coset, g))
+        group.update(added)
     elements = sorted(group)
     s1 = {e[:m] for e in elements}
     s2 = {e[m:] for e in elements}

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .intmat import ratmat
-from .lattice import IntegralLattice, signature
+from .lattice import IntegralLattice
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def _ldl(q):
     for i in range(n):
         d[i] = a[i][i]
         if d[i] <= 0:
-            raise ValueError("form is not positive definite")
+            raise ValueError("short-vector enumeration requires a definite lattice")
         for j in range(i + 1, n):
             u[i][j] = a[i][j] / d[i]
         for k in range(i + 1, n):
@@ -62,10 +62,8 @@ def short_vectors(L: IntegralLattice, bound: int) -> ShortVectorReport:
     n = L.rank
     if n == 0:
         return ShortVectorReport(bound, (), None, {})
-    plus, minus = signature(L)
-    if plus and minus:
-        raise ValueError("short-vector enumeration requires a definite lattice")
-    sign = 1 if minus == 0 else -1
+    # a definite form has the sign of its diagonal; _ldl rejects any other
+    sign = 1 if L.gram[0, 0] > 0 else -1
     d, u = _ldl(sign * ratmat(L.gram))
     cap = Fraction(bound)
     found = []

@@ -7,6 +7,7 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -90,70 +91,34 @@ def snf(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (S, U, V) with U, V unimodular, U @ m @ V = S diagonal with
     nonnegative entries satisfying the divisor chain d1 | d2 | ...
+
+    Row and column Hermite forms alternate until the matrix is diagonal
+    (Kannan-Bachem), which keeps entries and transforms small; a gcd/lcm
+    pass over the diagonal then restores the chain.
     """
     a = intmat(m)
     r, c = a.shape
     u, v = eye(r), eye(c)
-    t = 0
-    while t < min(r, c):
-        # move the smallest nonzero entry of the trailing block to (t, t)
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if a[i, j] != 0 and (best is None or abs(a[i, j]) < abs(a[best[0], best[1]])):
-                    best = (i, j)
-        if best is None:
+    while True:
+        h, x = hnf(a)
+        h, y = hnf(h.T)
+        a, u, v = h.T, x @ u, v @ y.T
+        if not any(a[i, j] for i in range(r) for j in range(c) if i != j):
             break
-        i, j = best
-        if i != t:
-            a[[t, i]] = a[[i, t]]
-            u[[t, i]] = u[[i, t]]
-        if j != t:
-            a[:, [t, j]] = a[:, [j, t]]
-            v[:, [t, j]] = v[:, [j, t]]
-        while True:
-            # clear column t
-            clean = True
-            for i in range(t + 1, r):
-                if a[i, t] != 0:
-                    q = a[i, t] // a[t, t]
-                    a[i] -= q * a[t]
-                    u[i] -= q * u[t]
-                    if a[i, t] != 0:
-                        a[[t, i]] = a[[i, t]]
-                        u[[t, i]] = u[[i, t]]
-                        clean = False
-            if not clean:
+    # Hermite forms put zero rows last, so a zero p is followed by zeros only
+    k = min(r, c)
+    for i in range(k):
+        for j in range(i + 1, k):
+            p, q = a[i, i], a[j, j]
+            if p == 0 or q % p == 0:
                 continue
-            # clear row t
-            for j in range(t + 1, c):
-                if a[t, j] != 0:
-                    q = a[t, j] // a[t, t]
-                    a[:, j] -= q * a[:, t]
-                    v[:, j] -= q * v[:, t]
-                    if a[t, j] != 0:
-                        a[:, [t, j]] = a[:, [j, t]]
-                        v[:, [t, j]] = v[:, [j, t]]
-                        clean = False
-            if not clean:
-                continue
-            # enforce divisibility of the trailing block by the pivot
-            bad = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i, j] % a[t, t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[t] += a[bad]
-            u[t] += u[bad]
-        if a[t, t] < 0:
-            a[t] = -a[t]
-            u[t] = -u[t]
-        t += 1
+            # [s t; -q/g p/g] diag(p, q) [1 -t*q/g; 1 s*p/g] = diag(g, p*q/g)
+            g = gcd(p, q)
+            s = pow(p // g, -1, q // g)
+            t = (g - s * p) // q
+            u[i], u[j] = s * u[i] + t * u[j], p // g * u[j] - q // g * u[i]
+            v[:, i], v[:, j] = v[:, i] + v[:, j], s * p // g * v[:, j] - t * q // g * v[:, i]
+            a[i, i], a[j, j] = g, p // g * q
     return a, u, v
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,6 +14,7 @@ from k3enriques.checker import (
     verify_certificate,
 )
 from k3enriques.embeddings import extends_to, identity_map, negation_map
+from k3enriques.intmat import intmat
 from k3enriques.lattice import FIXTURES, discriminant_group, fixture_path, load_lattice
 
 
@@ -201,7 +204,25 @@ def test_fixture_discriminant_groups_digest_pinned():
                 [str(x) for x in g.qvals],
             ]
         )
-    assert _digest(docs) == "f5a23d93380e8a539edbb524af8050a8f56d2948a52e1c01094aa74a66c19153"
+    assert _digest(docs) == "cdd3a09dff51a437cc7877951355c2f3ecfab4058ec67cb87eecbd5c1c944112"
+
+
+def test_fixture_torsion_forms_digest_pinned():
+    # the whole group as (element mod 1, q mod 2): the same for any choice of generators
+    docs = []
+    for name in FIXTURES:
+        L = load_lattice(fixture_path(name))
+        g = discriminant_group(L)
+        den = max(g.divisors, default=1)
+        gens = intmat([[int(c * den) for c in v] for v in g.generators])
+        form = set()
+        for ks in product(*(range(d) for d in g.divisors)):
+            x = intmat([ks]) @ gens % den if ks else intmat([[0] * L.rank])
+            q = int((x @ L.gram @ x.T)[0, 0]) % (2 * den * den)
+            form.add((tuple(str(Fraction(int(c), den)) for c in x[0]), str(Fraction(q, den * den))))
+        assert len(form) == g.order
+        docs.append(sorted(form))
+    assert _digest(docs) == "a7fbbcaf6511e74f9d5ff9b903d349434c721efcd5d53f37a8e27783767eaa40"
 
 
 def test_survey_small():

@@ -44,6 +44,13 @@ def test_is_primitive():
     assert is_primitive(nu)
 
 
+def test_embedding_rejects_dependent_rows():
+    with pytest.raises(ValueError, match="linearly independent"):
+        LatticeEmbedding(builtin("U"), [[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(ValueError, match="linearly independent"):
+        LatticeEmbedding(gamma2(), [[1, 2] + [0] * 8, [2, 4] + [0] * 8])
+
+
 def test_saturate():
     e = saturate(LatticeEmbedding(U2, [[2, 0]]))
     assert e.basis.tolist() in ([[1, 0]], [[-1, 0]])

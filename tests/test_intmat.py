@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -94,17 +95,18 @@ def test_snf_random_properties():
 
 def test_hnf_snf_against_naive_oracles():
     rng = random.Random(7)
-    for _ in range(120):
-        r = rng.randint(1, 4)
-        c = rng.randint(1, 4)
-        m = random_int_matrix(rng, r, c, -3, 3)
-        h, u = hnf(m)
-        assert h.tolist() == naive_hnf(m.tolist())
-        assert (u @ m == h).all()
-        assert abs(det(u)) == 1
-        s, _, _ = snf(m)
-        diag = [int(s[i, i]) for i in range(min(r, c)) if s[i, i] != 0]
-        assert diag == minors_invariant_factors(m.tolist())
+    for side, count in ((4, 120), (6, 40)):
+        for _ in range(count):
+            r = rng.randint(1, side)
+            c = rng.randint(1, side)
+            m = random_int_matrix(rng, r, c, -3, 3)
+            h, u = hnf(m)
+            assert h.tolist() == naive_hnf(m.tolist())
+            assert (u @ m == h).all()
+            assert abs(det(u)) == 1
+            s, _, _ = snf(m)
+            diag = [int(s[i, i]) for i in range(min(r, c)) if s[i, i] != 0]
+            assert diag == minors_invariant_factors(m.tolist())
 
 
 def test_kernel_random_properties():
@@ -131,3 +133,15 @@ def test_det_multiplicative():
         b = random_int_matrix(rng, n, n, -5, 5)
         assert det(a @ b) == det(a) * det(b)
 
+
+@pytest.mark.parametrize("n", [10, 14, 22])
+def test_snf_random_square_is_fast_and_small(n):
+    # the smallest-pivot elimination this replaced took 4 s and 122k-bit
+    # transforms at n = 10 and did not finish at n = 14
+    m = random_int_matrix(random.Random(n), n, n, -50, 50)
+    t0 = time.perf_counter()
+    s, u, v = snf(m)
+    assert time.perf_counter() - t0 < 1.0
+    assert (u @ m @ v == s).all()
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    assert max(abs(int(x)).bit_length() for x in [*u.flat, *v.flat]) < 1000

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -215,14 +216,10 @@ def _mod(x: Fraction, m: int) -> Fraction:
     return x - m * (x.numerator // (m * x.denominator))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**32))
-def test_discriminant_forms_match_triple_products(n, seed):
-    gram = random_even_symmetric(random.Random(seed), n, -3, 3)
-    det_g = det(gram)
-    assume(det_g != 0)
+def _assert_discriminant_form(gram):
+    n = gram.shape[0]
     dg = discriminant_group(IntegralLattice(gram))
-    assert dg.order == abs(det_g)
+    assert dg.order == abs(det(gram))
     assert all(b % a == 0 for a, b in zip(dg.divisors, dg.divisors[1:]))
     G = [[Fraction(int(x)) for x in row] for row in gram]
 
@@ -238,3 +235,30 @@ def test_discriminant_forms_match_triple_products(n, seed):
         assert dg.qvals[i] == _mod(form(gi, gi), 2)
         for j, gj in enumerate(dg.generators):
             assert dg.bform[i][j] == _mod(form(gi, gj), 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**32))
+def test_discriminant_forms_match_triple_products(n, seed):
+    gram = random_even_symmetric(random.Random(seed), n, -3, 3)
+    assume(det(gram) != 0)
+    _assert_discriminant_form(gram)
+
+
+@pytest.mark.parametrize("n, seed", [(12, 1), (22, 2)])
+def test_discriminant_group_generic_gram_is_fast(n, seed):
+    # generic Grams once made the Smith form's transforms explode
+    gram = random_even_symmetric(random.Random(seed), n, -6, 6)
+    t0 = time.perf_counter()
+    _assert_discriminant_form(gram)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_discriminant_group_skewed_basis_of_u_u2_e8_2():
+    amb = direct_sum(direct_sum(builtin("U"), twist(builtin("U"), 2)), twist(builtin("E8"), 2))
+    for seed in range(30):
+        p = random_unimodular(random.Random(seed), 12, 20)
+        t0 = time.perf_counter()
+        dg = discriminant_group(IntegralLattice(p @ amb.gram @ p.T))
+        assert time.perf_counter() - t0 < 1.0
+        assert dg.divisors == (2,) * 10

@@ -1,11 +1,14 @@
-"""The benchmark wraps library functions by name; a rename must fail here too."""
+"""Repository rules checked on the source: the benchmark wraps library
+functions by name, so a rename must fail here too, and no function holds an import."""
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 from k3enriques import checker, embeddings
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -24,3 +27,16 @@ def test_trace_targets_resolve():
 
 def test_glue_workload_patch_point():
     assert checker.glue_data is embeddings.glue_data
+
+
+def test_no_function_local_imports():
+    found = []
+    for path in sorted((ROOT / "src" / "k3enriques").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert not found, found
