@@ -328,10 +328,17 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     ambient = gamma2_ambient()
     if doc["ambient_gram"] != ambient.gram.tolist():
         return False, [f"ambient_gram is not the Gram matrix of {ambient.label}"]
+    # JSON reads 1.5 as float and true as bool; int() would accept both
+    for key in ("sigma", "d"):
+        if type(doc[key]) is not int:
+            return False, [f"{key} is not a JSON integer"]
+    basis = doc["embedding_basis"]
+    if not isinstance(basis, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in basis
+    ):
+        return False, ["embedding_basis is not a list of rows of JSON integers"]
     try:
-        fresh = _compute_case(
-            int(doc["sigma"]), int(doc["d"]), ambient, intmat(doc["embedding_basis"])
-        ).to_doc()
+        fresh = _compute_case(doc["sigma"], doc["d"], ambient, intmat(basis)).to_doc()
     except Exception as exc:  # malformed matrices
         return False, [f"recomputation failed: {exc}"]
     for key in ("complement_basis", "complement_gram"):

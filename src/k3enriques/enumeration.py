@@ -1,18 +1,18 @@
 """Exact short-vector enumeration in definite lattices.
 
-Fincke-Pohst style depth-first enumeration over an exact rational Cholesky
-(LDL^T) factorization.  Everything runs on Fractions; pruning bounds are
-computed with integer square roots, so the reported vector lists are complete
-with no rounding caveats.
+Fincke-Pohst depth-first enumeration over the fraction-free integer LDL^T of
+lattice._ldl.  Everything runs on Python ints: the budget of each level is an
+integer multiple of the remaining norm and the coordinate ranges come from
+integer square roots, so the reported vector lists are complete with no
+rounding caveats.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
+from operator import mul
 
-from .intmat import ratmat
-from .lattice import IntegralLattice
+from .lattice import IntegralLattice, _ldl
 
 
 @dataclass(frozen=True)
@@ -30,31 +30,6 @@ class ShortVectorReport:
     counts: dict
 
 
-def _ldl(q):
-    """q = L D L^T with unit lower-triangular L; returns (d, u) where
-    u[i][j] = L[j][i] for j > i, so x^T q x = sum_i d[i] (x_i + sum_j u[i][j] x_j)^2."""
-    n = q.shape[0]
-    a = [[Fraction(q[i, j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("short-vector enumeration requires a definite lattice")
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                a[k][l] -= u[i][k] * d[i] * u[i][l]
-                a[l][k] = a[k][l]
-    return d, u
-
-
-def _floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for x >= 0."""
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
 def short_vectors(L: IntegralLattice, bound: int) -> ShortVectorReport:
     """All nonzero v with |(v, v)| <= bound in a definite lattice."""
     if bound < 1:
@@ -62,49 +37,37 @@ def short_vectors(L: IntegralLattice, bound: int) -> ShortVectorReport:
     n = L.rank
     if n == 0:
         return ShortVectorReport(bound, (), None, {})
-    # a definite form has the sign of its diagonal; _ldl rejects any other
+    # a definite form has the sign of its diagonal
     sign = 1 if L.gram[0, 0] > 0 else -1
-    d, u = _ldl(sign * ratmat(L.gram))
-    cap = Fraction(bound)
+    d, r = _ldl(sign * L.gram)
+    # all leading minors positive: definite, and _ldl kept the caller's basis
+    if min(d) <= 0:
+        raise ValueError("short-vector enumeration requires a definite lattice")
     found = []
     x = [0] * n
 
-    def rec(i, remaining):
-        c = sum((u[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        r = _floor_sqrt(remaining / d[i]) + 1
-        center = -c
-        start = center.numerator // center.denominator - r
-        for xi in range(start, start + 2 * r + 2):
-            term = d[i] * (xi + c) ** 2
-            if term > remaining:
-                continue
-            x[i] = xi
-            if i == 0:
-                if any(x):
-                    found.append((tuple(x), remaining - term))
-            else:
-                rec(i - 1, remaining - term)
-        x[i] = 0
+    def rec(k, t):
+        # t = d[k+1] * (bound - sum of the squares fixed above k); the k-th
+        # square is y^2 / (d[k] d[k+1]) with y = r[k] . x = d[k+1] x_k + c,
+        # and c = r[k] . x while x_k is still 0
+        c = sum(map(mul, r[k], x))
+        s = isqrt(d[k] * t)
+        for xk in range(-((s + c) // d[k + 1]), (s - c) // d[k + 1] + 1):
+            y = d[k + 1] * xk + c
+            rest = (d[k] * t - y * y) // d[k + 1]
+            x[k] = xk
+            if k:
+                rec(k - 1, rest)
+            elif any(x):
+                found.append((tuple(x), sign * (bound - rest)))
+        x[k] = 0
 
-    rec(n - 1, cap)
+    rec(n - 1, d[n] * bound)
 
-    vectors = []
-    for coords, slack in found:
-        norm = sign * int(cap - slack)
-        vectors.append((coords, norm))
-
-    def rep(v):
-        lead = next(x for x in v if x)
-        return v if lead > 0 else tuple(-x for x in v)
-
-    pairs = {}
-    for coords, norm in vectors:
-        pairs.setdefault(rep(coords), norm)
+    # v and -v are both found; keep the positive-leading one of each pair
     ordered = []
-    for r_ in sorted(pairs):
-        norm = pairs[r_]
-        ordered.append((r_, norm))
-        ordered.append((tuple(-x for x in r_), norm))
+    for v, norm in sorted(f for f in found if next(e for e in f[0] if e) > 0):
+        ordered += [(v, norm), (tuple(-e for e in v), norm)]
     counts: dict = {}
     for _, norm in ordered:
         counts[norm] = counts.get(norm, 0) + 1

@@ -14,7 +14,7 @@ from importlib import resources
 from math import prod
 
 from .arith import _pollard_brent, is_odd_prime
-from .intmat import det, intmat, ratmat, snf, zeros
+from .intmat import det, intmat, snf, zeros
 
 
 class IntegralLattice:
@@ -113,45 +113,53 @@ def is_even(L: IntegralLattice) -> bool:
     return all(L.gram[i, i] % 2 == 0 for i in range(L.rank))
 
 
-def signature(L: IntegralLattice) -> tuple[int, int]:
-    """Sylvester signature (plus, minus) via exact congruence diagonalization.
+def _ldl(gram) -> tuple[list[int], list[list[int]]]:
+    """Symmetric fraction-free (Bareiss) elimination of an integer Gram matrix.
 
-    Pivots on nonzero diagonal entries; when the remaining block has an
-    all-zero diagonal, a row/column addition creates one (this handles
-    hyperbolic blocks such as U exactly).
+    Returns the leading minors d, d[0] = 1, and integer rows r with
+    x^T G x = sum_k (r[k] . x)^2 / (d[k] d[k+1]).  A zero pivot is replaced
+    by a symmetric swap or, when the remaining diagonal is all zero, by adding
+    one basis vector to another (this handles hyperbolic blocks such as U);
+    either step changes coordinates, and neither runs when all d are
+    positive.  A degenerate form ends d with 0.
     """
-    n = L.rank
-    a = ratmat(L.gram)
-    plus = minus = 0
+    a = [[int(x) for x in row] for row in gram]
+    n = len(a)
+    d, rows = [1], []
     k = 0
     while k < n:
-        piv = next((i for i in range(k, n) if a[i, i] != 0), None)
+        piv = next((i for i in range(k, n) if a[i][i]), None)
         if piv is None:
-            off = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i, j] != 0),
-                None,
-            )
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
             if off is None:
-                raise ValueError("degenerate form has no signature")
+                return d + [0], rows
             i, j = off
-            a[i] += a[j]
-            a[:, i] += a[:, j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
             continue
         if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            a[:, [k, piv]] = a[:, [piv, k]]
-        p = a[k, k]
-        if p > 0:
-            plus += 1
-        else:
-            minus += 1
+            a[k], a[piv] = a[piv], a[k]
+            for row in a:
+                row[k], row[piv] = row[piv], row[k]
+        p, prev = a[k][k], d[-1]
         for i in range(k + 1, n):
-            if a[i, k] != 0:
-                f = a[i, k] / p
-                a[i] -= f * a[k]
-                a[:, i] -= f * a[:, k]
+            for j in range(k + 1, n):
+                a[i][j] = (p * a[i][j] - a[i][k] * a[k][j]) // prev
+        rows.append([0] * k + a[k][k:])
+        d.append(p)
         k += 1
-    return plus, minus
+    return d, rows
+
+
+def signature(L: IntegralLattice) -> tuple[int, int]:
+    """Sylvester signature (plus, minus): one sign per pivot d[k+1] / d[k]
+    of the integer elimination _ldl."""
+    d, _ = _ldl(L.gram)
+    if d[-1] == 0:
+        raise ValueError("degenerate form has no signature")
+    plus = sum(p * q > 0 for p, q in zip(d, d[1:]))
+    return plus, L.rank - plus
 
 
 _TRIAL_LIMIT = 1000
@@ -261,8 +269,14 @@ def load_lattice(path) -> IntegralLattice:
     """Read a lattice file produced by save_lattice (or the shipped fixtures)."""
     with open(path) as f:
         doc = json.load(f)
-    n = int(doc["rank"])
-    flat = doc["gram"]
+    if not isinstance(doc, dict):
+        raise ValueError("a lattice file holds one JSON object")
+    n, flat = doc.get("rank"), doc.get("gram")
+    # JSON reads 1.5 as float and true as bool; int() would accept both
+    if type(n) is not int or n < 0:
+        raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
+    if not isinstance(flat, list) or not all(type(x) is int for x in flat):
+        raise ValueError("gram must be a list of integers")
     if len(flat) != n * n:
         raise ValueError(f"gram array has {len(flat)} entries, expected {n * n}")
     gram = [flat[i * n : (i + 1) * n] for i in range(n)]

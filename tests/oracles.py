@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's algorithms: determinants by cofactor
 expansion, invariant factors from gcds of minors, Hermite forms by plain
-column-at-a-time reduction, short vectors by exhaustive box enumeration, and
-primality and factorization by trial division.
+column-at-a-time reduction, signatures by Fraction diagonalization, short
+vectors by exhaustive box enumeration, and primality and factorization by
+trial division.
 """
 from fractions import Fraction
 from itertools import combinations, product
@@ -112,6 +113,50 @@ def naive_hnf(m):
                 a[i] = [x - q * y for x, y in zip(a[i], a[row])]
         row += 1
     return a
+
+
+def fraction_signature(gram):
+    """Sylvester signature (plus, minus) by congruence diagonalization over
+    Fractions.
+
+    Pivots on nonzero diagonal entries; when the remaining block has an
+    all-zero diagonal, a row/column addition creates one (this handles
+    hyperbolic blocks such as U exactly).
+    """
+    a = [[Fraction(int(x)) for x in row] for row in gram]
+    n = len(a)
+    plus = minus = 0
+    k = 0
+    while k < n:
+        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
+        if piv is None:
+            off = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
+                None,
+            )
+            if off is None:
+                raise ValueError("degenerate form has no signature")
+            i, j = off
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+            continue
+        a[k], a[piv] = a[piv], a[k]
+        for row in a:
+            row[k], row[piv] = row[piv], row[k]
+        p = a[k][k]
+        if p > 0:
+            plus += 1
+        else:
+            minus += 1
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / p
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                for row in a:
+                    row[i] -= f * row[k]
+        k += 1
+    return plus, minus
 
 
 def box_short_vectors(gram, bound):

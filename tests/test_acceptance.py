@@ -10,6 +10,8 @@ import time
 from fractions import Fraction as F
 
 from k3enriques.arith import (
+    HODGE_SLOPES,
+    _heights,
     arth,
     is_odd_prime,
     newton_slopes,
@@ -172,8 +174,6 @@ def test_criterion_07():
 
 @criterion(8, "Newton/Hodge suite: ordinary equality, lies-above, h = 11 rejected")
 def test_criterion_08():
-    from k3enriques.arith import HODGE_SLOPES, _heights
-
     assert _heights(newton_slopes(1).slopes) == _heights(HODGE_SLOPES)
     for h in list(range(1, 11)) + [math.inf]:
         np_ = newton_slopes(h)

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3enriques.arith import (
+    HODGE_SLOPES,
     NewtonPolygon,
     _MR_BASES,
     _PSI,
+    _heights,
     _miller_rabin,
     _strong_lucas,
     arth,
@@ -249,8 +251,6 @@ def test_all_heights_lie_above():
 
 
 def test_strictly_above_for_h5():
-    from k3enriques.arith import _heights, HODGE_SLOPES
-
     newton = _heights(newton_slopes(5).slopes)
     hodge = _heights(HODGE_SLOPES)
     assert newton[0] == hodge[0] and newton[22] == hodge[22]

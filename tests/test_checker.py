@@ -159,6 +159,31 @@ def test_verify_refuses_foreign_ambient_quickly():
     assert messages == ["ambient_gram is not the Gram matrix of U(2)+E8(2)"]
 
 
+def _set_basis_entry(doc, value):
+    assert doc["embedding_basis"][0][0] == 1
+    doc["embedding_basis"][0][0] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: _set_basis_entry(doc, 1.5), "embedding_basis is not"),
+        (lambda doc: _set_basis_entry(doc, True), "embedding_basis is not"),
+        (lambda doc: _set_basis_entry(doc, "1"), "embedding_basis is not"),
+        (lambda doc: doc.update(d=5.9), "d is not a JSON integer"),
+        (lambda doc: doc.update(sigma="3"), "sigma is not a JSON integer"),
+    ],
+    ids=["basis-float", "basis-bool", "basis-string", "d-float", "sigma-string"],
+)
+def test_verify_refuses_non_integer_fields(mutate, message):
+    doc = json.loads(json.dumps(build_case(3, 5).to_doc()))
+    assert verify_certificate(doc) == (True, [])
+    mutate(doc)
+    ok, messages = verify_certificate(doc)
+    assert not ok
+    assert len(messages) == 1 and messages[0].startswith(message)
+
+
 def _digest(obj) -> str:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()

@@ -29,6 +29,23 @@ def test_missing_file(capsys):
     assert main(["lattice", "info", "/nonexistent.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ({"rank": 1, "gram": [-2.7]}, "gram must be a list of integers"),
+        ({"rank": 1, "gram": [True]}, "gram must be a list of integers"),
+        ({"rank": -1, "gram": [4]}, "rank must be a nonnegative integer"),
+        ([1, [2]], "a lattice file holds one JSON object"),
+    ],
+    ids=["float-entry", "bool-entry", "negative-rank", "not-an-object"],
+)
+def test_lattice_info_refuses_malformed_file(tmp_path, capsys, doc, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["lattice", "info", str(path)]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_case_build_and_verify(tmp_path, capsys):
     cert_file = tmp_path / "cert.json"
     assert main(["case", "build", "--sigma", "2", "--d", "1", "--out", str(cert_file)]) == 0

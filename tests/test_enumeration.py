@@ -1,12 +1,15 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3enriques.enumeration import count_norm, min_norm, short_vectors
-from k3enriques.intmat import det
-from k3enriques.lattice import IntegralLattice, builtin, diag_lattice, twist
+from k3enriques.intmat import det, eye
+from k3enriques.lattice import IntegralLattice, builtin, diag_lattice, signature, twist
 
-from oracles import box_short_vectors, random_even_symmetric
+from oracles import box_short_vectors, random_even_symmetric, random_unimodular
 
 
 def test_e8_roots():
@@ -58,22 +61,14 @@ def test_symmetry_and_order():
 
 def _random_negdef(rng, n):
     while True:
-        g = random_even_symmetric(rng, n, -3, 3)
-        g = g - 6 * len(g) * _eye(n)
+        g = random_even_symmetric(rng, n, -3, 3) - 12 * n * eye(n)
         L = IntegralLattice(g)
-        from k3enriques.lattice import signature
-
         if det(g) != 0 and signature(L) == (0, n):
             return L
 
 
-def _eye(n):
-    import numpy as np
-
-    a = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        a[i, i] = 2
-    return a
+def _skewed(L, u):
+    return IntegralLattice(u @ L.gram @ u.T)
 
 
 def test_completeness_against_box_oracle():
@@ -100,3 +95,21 @@ def test_twist_mod4_shortcut():
     L = twist(builtin("E8"), 2)
     # restrict to a definite sublattice: E8(2) itself is negative definite
     assert count_norm(L, -2) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.integers(0, 20))
+def test_count_norm_invariant_under_unimodular(seed, e8, steps):
+    # a basis vector's norm, so every count is at least 2
+    rng = random.Random(seed)
+    L = builtin("E8") if e8 else _random_negdef(rng, rng.randint(1, 4))
+    t = int(L.gram[0, 0])
+    u = random_unimodular(rng, L.rank, steps)
+    assert count_norm(_skewed(L, u), t) == count_norm(L, t)
+
+
+def test_skewed_e8_roots_are_fast():
+    L = _skewed(builtin("E8"), random_unimodular(random.Random(1), 8, 30))
+    t0 = time.perf_counter()
+    assert count_norm(L, -2) == 240
+    assert time.perf_counter() - t0 < 1.0

@@ -23,7 +23,7 @@ from k3enriques.lattice import (
     twist,
 )
 
-from oracles import random_even_symmetric, random_unimodular
+from oracles import fraction_signature, random_even_symmetric, random_unimodular
 
 
 def test_builtin_u():
@@ -92,6 +92,34 @@ def test_signature_congruence_invariant():
         L = IntegralLattice(g)
         u = random_unimodular(rng, n)
         assert signature(IntegralLattice(u @ g @ u.T)) == signature(L)
+
+
+@st.composite
+def _sparse_symmetric(draw):
+    # mostly-zero diagonals force the hyperbolic step; sparse rows make many
+    # of the forms degenerate
+    n = draw(st.integers(0, 7))
+    small = st.one_of(st.just(0), st.integers(-3, 3))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = draw(st.one_of(st.just(0), small))
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = draw(small)
+    return a
+
+
+def _signature_or_error(f, gram):
+    try:
+        return f(gram)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_symmetric())
+def test_signature_matches_fraction_oracle(a):
+    got = _signature_or_error(lambda g: signature(IntegralLattice(g)), a)
+    assert got == _signature_or_error(fraction_signature, a)
 
 
 def test_is_even():
