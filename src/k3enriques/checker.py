@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import pickle
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
@@ -303,14 +304,26 @@ def build_case(sigma: int, d: int) -> CaseCertificate:
     return _compute_case(sigma, d, gamma2_ambient(), _case_basis(sigma, d))
 
 
+_json_text = json.JSONEncoder(sort_keys=True).encode
+
+
+def _same(a, b) -> bool:
+    """JSON equality that tells 1, 1.0 and true apart; equal pickles settle it
+    fast, and as pickles also see key order, the sorted-key JSON texts decide."""
+    return pickle.dumps(a) == pickle.dumps(b) or _json_text(a) == _json_text(b)
+
+
 def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     """Re-verify a certificate document from its stored matrices.
 
     The ambient Gram must be exactly that of gamma2_ambient(); a document
     with any other ambient is refused before any exact work.  Every check is
     then recomputed from the embedding basis; any mismatch with the stored
-    witnesses, complement data, or pass flags fails the verification.
+    witnesses, complement data, or pass flags fails the verification, and
+    values must match as JSON (1, 1.0 and true differ).
     """
+    if not isinstance(doc, dict):
+        return False, ["certificate is not a JSON object"]
     messages: list[str] = []
     required = (
         "sigma",
@@ -326,12 +339,19 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     if missing:
         return False, [f"missing fields: {missing}"]
     ambient = gamma2_ambient()
-    if doc["ambient_gram"] != ambient.gram.tolist():
+    if not _same(doc["ambient_gram"], ambient.gram.tolist()):
         return False, [f"ambient_gram is not the Gram matrix of {ambient.label}"]
     # JSON reads 1.5 as float and true as bool; int() would accept both
     for key in ("sigma", "d"):
         if type(doc[key]) is not int:
             return False, [f"{key} is not a JSON integer"]
+    if type(doc["passed"]) is not bool:
+        return False, ["passed is not a JSON boolean"]
+    checks = doc["checks"]
+    if not isinstance(checks, list) or not all(
+        isinstance(c, dict) and type(c.get("name")) is str for c in checks
+    ) or len({c["name"] for c in checks}) != len(checks):
+        return False, ["checks is not a list of JSON objects with distinct string names"]
     basis = doc["embedding_basis"]
     if not isinstance(basis, list) or not all(
         isinstance(row, list) and all(type(x) is int for x in row) for row in basis
@@ -342,20 +362,20 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     except Exception as exc:  # malformed matrices
         return False, [f"recomputation failed: {exc}"]
     for key in ("complement_basis", "complement_gram"):
-        if fresh[key] != doc[key]:
+        if not _same(fresh[key], doc[key]):
             messages.append(f"{key} does not match recomputation")
-    stored = {c["name"]: c for c in doc["checks"] if isinstance(c, dict) and "name" in c}
+    stored = {c["name"]: c for c in checks}
     for c in fresh["checks"]:
         sc = stored.pop(c["name"], None)
         if sc is None:
             messages.append(f"check {c['name']} missing from certificate")
-        elif sc != c:
+        elif not _same(sc, c):
             messages.append(f"check {c['name']} does not match recomputation")
         if not c["passed"]:
             messages.append(f"check {c['name']} fails")
     for name in stored:
         messages.append(f"unknown extra check {name}")
-    if bool(doc["passed"]) != fresh["passed"]:
+    if doc["passed"] != fresh["passed"]:
         messages.append("overall pass flag does not match recomputation")
     return not messages, messages
 
@@ -410,11 +430,7 @@ def gamma2_in_k3() -> GlueReport:
     checks.append(Check("complement_even", is_even(comp_lat), {}))
 
     # glue of the pair inside the ambient rank-22 lattice
-    p = zeros(22, 22)
-    p[:10] = emb.basis
-    p[10:] = comp.basis
-    over = rat_inv(p)
-    g = glue_data(emb.sublattice(), comp_lat, over)
+    g = glue_data(emb.sublattice(), comp_lat, rat_inv([*emb.basis, *comp.basis]))
     checks.append(Check("glue_order", g.order == 2**10, {"order": g.order}))
     checks.append(
         Check(

@@ -10,12 +10,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
 
-from .intmat import det, hnf, intmat, kernel_basis, ratmat, snf, zeros
-from .lattice import DiscriminantGroup, IntegralLattice, _prime_powers
+from .intmat import det, hnf, intmat, kernel_basis, snf
+from .lattice import DiscriminantGroup, IntegralLattice, _prime_powers, direct_sum
 
 
 class LatticeEmbedding:
@@ -89,7 +90,7 @@ def overlattice(M: IntegralLattice, glue_gens) -> Overlattice:
     q = 0 mod 2 and pairwise b values integral.
     """
     n = M.rank
-    G = ratmat(M.gram)
+    G = M.gram
     gens = [np.array([Fraction(x) for x in g], dtype=object) for g in glue_gens]
     for g in gens:
         if g.shape != (n,):
@@ -106,22 +107,12 @@ def overlattice(M: IntegralLattice, glue_gens) -> Overlattice:
             if b != 0:
                 raise ValueError(f"glue is not isotropic: b = {b}")
     denom = lcm(*(x.denominator for g in gens for x in g))
-    rows = zeros(n + len(gens), n)
-    for i in range(n):
-        rows[i, i] = denom
-    for k, g in enumerate(gens):
-        for j in range(n):
-            rows[n + k, j] = int(g[j] * denom)
-    h, _ = hnf(rows)
-    w = ratmat(h[:n]) / denom
+    h, _ = hnf([[denom * (i == j) for j in range(n)] for i in range(n)] + [g * denom for g in gens])
+    w = h[:n] * Fraction(1, denom)
     new_gram_q = w @ G @ w.T
-    new_gram = zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            x = new_gram_q[i, j]
-            if x.denominator != 1:
-                raise ValueError("glue does not generate an integral lattice")
-            new_gram[i, j] = int(x)
+    if any(x.denominator != 1 for x in new_gram_q.flat):
+        raise ValueError("glue does not generate an integral lattice")
+    new_gram = intmat(new_gram_q)
     index = denom**n // abs(det(h[:n]))
     out = Overlattice(new_gram, M, w, index, label=M.label and f"overlattice of {M.label}")
     assert index * index * abs(det(new_gram)) == abs(det(M.gram))
@@ -132,19 +123,40 @@ def overlattice(M: IntegralLattice, glue_gens) -> Overlattice:
 class GlueData:
     """The glue group of an overlattice of an orthogonal pair M (+) N.
 
-    elements -- all (s1, s2) pairs, s1 the l(M)-part and s2 the l(N)-part of
-                one glue element (coordinates mod 1)
-    gamma    -- the glue isomorphism S1 -> S2 as a mapping on all of S1
+    den        -- the common denominator of the glue coordinates
+    numerators -- sorted (a, b) int tuples mod den, one per glue element
+                  (a/den, b/den): a on l(M), b on l(N)
+    Fraction views, built on first use in the order of numerators:
+    elements -- the (s1, s2) pairs, s1 in l(M) and s2 in l(N), mod 1
+    gamma    -- the glue isomorphism S1 -> S2 as a dict on all of S1
+    s1_group, s2_group -- its domain and image
     """
 
-    elements: tuple
-    gamma: dict
-    s1_group: frozenset
-    s2_group: frozenset
+    den: int
+    numerators: tuple
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.numerators)
+
+    @cached_property
+    def elements(self) -> tuple:
+        frac = [Fraction(k, self.den) for k in range(self.den)]
+        return tuple(
+            (tuple(frac[k] for k in a), tuple(frac[k] for k in b)) for a, b in self.numerators
+        )
+
+    @cached_property
+    def gamma(self) -> dict:
+        return dict(self.elements)
+
+    @cached_property
+    def s1_group(self) -> frozenset:
+        return frozenset(self.gamma)
+
+    @cached_property
+    def s2_group(self) -> frozenset:
+        return frozenset(self.gamma.values())
 
 
 def glue_data(M: IntegralLattice, N: IntegralLattice, over_basis) -> GlueData:
@@ -155,9 +167,7 @@ def glue_data(M: IntegralLattice, N: IntegralLattice, over_basis) -> GlueData:
     injective (they are exactly when M and N are a primitive pair).
     """
     m, n = M.rank, N.rank
-    rows = [
-        [Fraction(x) for x in row] for row in np.asarray(over_basis, dtype=object)
-    ]
+    rows = [[Fraction(x) for x in row] for row in np.asarray(over_basis, dtype=object)]
     if any(len(r) != m + n for r in rows):
         raise ValueError("over-basis rows must have length rank(M) + rank(N)")
     # the closure runs on integer numerators over the common denominator den
@@ -172,18 +182,14 @@ def glue_data(M: IntegralLattice, N: IntegralLattice, over_basis) -> GlueData:
             coset = tuple((a + b) % den for a, b in zip(coset, g))
         group.update(added)
     elements = sorted(group)
-    s1 = {e[:m] for e in elements}
-    s2 = {e[m:] for e in elements}
-    if len(s1) != len(elements) or len(s2) != len(elements):
+    if len({e[:m] for e in elements}) != len(group) or len({e[m:] for e in elements}) != len(group):
         raise ValueError("glue projections are not injective; not a primitive pair")
-    a = intmat(elements)
-    am, an = a[:, :m], a[:, m:]
-    q = ((am @ M.gram) * am).sum(axis=1) + ((an @ N.gram) * an).sum(axis=1)
-    if any(x % (2 * den * den) for x in q):
+    # q_M (+) q_N on the numerators, summed over the nonzero Gram entries
+    gram = direct_sum(M, N).gram.tolist()
+    terms = [(i, j, x) for i, row in enumerate(gram) for j, x in enumerate(row) if x]
+    if any(sum(x * e[i] * e[j] for i, j, x in terms) % (2 * den * den) for e in elements):
         raise ValueError("glue group is not isotropic for q_M (+) q_N")
-    frac = [Fraction(k, den) for k in range(den)]
-    gamma = {tuple(frac[k] for k in e[:m]): tuple(frac[k] for k in e[m:]) for e in elements}
-    return GlueData(tuple(gamma.items()), gamma, frozenset(gamma), frozenset(gamma.values()))
+    return GlueData(den, tuple((e[:m], e[m:]) for e in elements))
 
 
 def identity_map(v):
@@ -191,7 +197,18 @@ def identity_map(v):
 
 
 def negation_map(v):
-    return tuple(-x % 1 for x in v)
+    return tuple(Fraction(-x.numerator % x.denominator, x.denominator) for x in v)
+
+
+def _numerators_over(v, den):
+    """Numerators of v mod 1 over den, or None if den is not a common denominator."""
+    out = []
+    for x in v:
+        a, d = x.as_integer_ratio()
+        if den % d:
+            return None
+        out.append(a * den // d % den)
+    return tuple(out)
 
 
 def extends_to(phibar, psibar, g: GlueData) -> bool:
@@ -199,12 +216,13 @@ def extends_to(phibar, psibar, g: GlueData) -> bool:
 
     True iff the induced map on l(M) preserves S1, the one on l(N) preserves
     S2, and gamma intertwines them: gamma(phibar(s1)) = psibar(gamma(s1)).
+    The maps take and return tuples of rationals (Fraction or int); every
+    glue element is checked, on the numerators of the images over g.den.
     """
+    index = dict(g.numerators)
     for s1, s2 in g.elements:
-        t1 = tuple(x % 1 for x in phibar(s1))
-        if t1 not in g.gamma:
-            return False
-        if g.gamma[t1] != tuple(x % 1 for x in psibar(s2)):
+        t2 = index.get(_numerators_over(phibar(s1), g.den))
+        if t2 is None or t2 != _numerators_over(psibar(s2), g.den):
             return False
     return True
 

@@ -1,13 +1,14 @@
 """Exact integer matrix routines: HNF, SNF, kernels and determinants.
 
 Matrices are numpy arrays with ``dtype=object`` holding Python ints, so every
-operation is arbitrary precision.  Rational helpers use ``fractions.Fraction``.
+operation is arbitrary precision.  Only ``rat_inv`` returns ``fractions.Fraction``.
 No floating point is used anywhere in this module.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 import numpy as np
 
@@ -158,38 +159,28 @@ def det(m):
     return sign * a[n - 1][n - 1]
 
 
-def ratmat(rows) -> np.ndarray:
-    """Build an exact rational matrix (dtype=object, Fraction entries)."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    a = np.zeros((len(rows), ncols), dtype=object)
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            a[i, j] = Fraction(x)
-    return a
-
-
 def rat_inv(m) -> np.ndarray:
-    """Exact inverse of a square matrix, entries as Fractions."""
-    a = ratmat(m)
-    n, c = a.shape
-    if n != c:
+    """Exact inverse of a square integer matrix, entries as Fractions.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination of [m | I] on Python
+    ints: every division is exact, and it ends at [d*I | d*m^-1] with
+    d = +-det(m).  Entries must be integers; singular m raises ZeroDivisionError.
+    """
+    a = [[index(x) for x in row] for row in m]
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("inverse requires a square matrix")
-    inv = ratmat(eye(n))
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i, col] != 0), None)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
             raise ZeroDivisionError("matrix is singular")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        f = a[col, col]
-        a[col] = a[col] / f
-        inv[col] = inv[col] / f
+        a[k], a[piv] = a[piv], a[k]
+        p = a[k][k]
         for i in range(n):
-            if i != col and a[i, col] != 0:
-                f = a[i, col]
-                a[i] -= f * a[col]
-                inv[i] -= f * inv[col]
-    return inv
-
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    return np.array([[Fraction(x, prev) for x in row[n:]] for row in a], dtype=object).reshape(n, n)

@@ -3,16 +3,15 @@
 These deliberately avoid the library's algorithms: determinants by cofactor
 expansion, invariant factors from gcds of minors, Hermite forms by plain
 column-at-a-time reduction, signatures by Fraction diagonalization, short
-vectors by exhaustive box enumeration, and primality and factorization by
-trial division.
+vectors by exhaustive box enumeration, inverses by Gauss-Jordan in
+Fractions, glue groups by closure in Fractions mod 1, and primality and
+factorization by trial division.
 """
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt
 
 import numpy as np
-
-from k3enriques.intmat import rat_inv
 
 
 def trial_is_prime(n):
@@ -159,6 +158,55 @@ def fraction_signature(gram):
     return plus, minus
 
 
+def fraction_inv(m):
+    """Inverse of a nonsingular square matrix (list of rows) by Gauss-Jordan
+    elimination in Fractions."""
+    n = len(m)
+    a = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if a[i][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
+
+
+def fraction_glue(m, over_basis):
+    """Sorted (s1, s2) glue elements of an over-basis of M (+) N, rank(M) = m:
+    the group its rows generate in Fractions mod 1, closed by search."""
+    gens = [tuple(Fraction(x) % 1 for x in row) for row in over_basis]
+    zero = tuple(Fraction(0) for _ in gens[0])
+    seen, todo = {zero}, [zero]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = tuple((a + b) % 1 for a, b in zip(x, g))
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return tuple((e[:m], e[m:]) for e in sorted(seen))
+
+
+def fraction_negation_map(v):
+    return tuple(-x % 1 for x in v)
+
+
+def fraction_extends_to(phibar, psibar, elements):
+    """Whether phi (+) psi extends across glue `elements` (from fraction_glue):
+    phibar(s1) mod 1 is looked up in the glue map as a Fraction tuple."""
+    gamma = dict(elements)
+    for s1, s2 in elements:
+        t1 = tuple(x % 1 for x in phibar(s1))
+        if t1 not in gamma or gamma[t1] != tuple(x % 1 for x in psibar(s2)):
+            return False
+    return True
+
+
 def box_short_vectors(gram, bound):
     """All nonzero v with |v^T G v| <= bound in a definite lattice.
 
@@ -168,10 +216,10 @@ def box_short_vectors(gram, bound):
     n = len(gram)
     sign = 1 if gram[0][0] > 0 else -1
     q = [[sign * int(x) for x in row] for row in gram]
-    qinv = rat_inv(q)
+    qinv = fraction_inv(q)
     radii = []
     for i in range(n):
-        t = Fraction(bound) * qinv[i, i]
+        t = Fraction(bound) * qinv[i][i]
         radii.append(isqrt(t.numerator * t.denominator) // t.denominator + 1)
     out = []
     for x in product(*(range(-r, r + 1) for r in radii)):

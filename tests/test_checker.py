@@ -184,6 +184,66 @@ def test_verify_refuses_non_integer_fields(mutate, message):
     assert len(messages) == 1 and messages[0].startswith(message)
 
 
+def _retype(doc, path, value):
+    # the stored value equals the new one under Python ==, only its JSON type differs
+    *keys, last = path
+    for k in keys:
+        doc = doc[k]
+    assert doc[last] == value and type(doc[last]) is not type(value)
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: _retype(doc, ["complement_gram", 5, 5], -4.0), "complement_gram does not"),
+        (lambda doc: _retype(doc, ["complement_basis", 0, 4], True), "complement_basis does not"),
+        (lambda doc: _retype(doc, ["ambient_gram", 0, 1], 2.0), "ambient_gram is not"),
+        (
+            lambda doc: _retype(doc, ["checks", 0, "witness", "snf_divisors", 0], 1.0),
+            "check embedding_primitive does not",
+        ),
+        (lambda doc: doc.update(passed="no"), "passed is not a JSON boolean"),
+        (
+            lambda doc: _retype(doc, ["checks", 3, "passed"], 1),
+            "check n_negative_definite does not",
+        ),
+        (lambda doc: doc.update(checks=5), "checks is not a list"),
+        (lambda doc: doc["checks"].append(dict(doc["checks"][0])), "checks is not a list"),
+    ],
+    ids=[
+        "gram-float",
+        "basis-bool",
+        "ambient-float",
+        "witness-float",
+        "passed-string",
+        "check-passed-int",
+        "checks-int",
+        "check-twice",
+    ],
+)
+def test_verify_compares_json_types(mutate, message):
+    doc = json.loads(json.dumps(build_case(3, 5).to_doc()))
+    mutate(doc)
+    ok, messages = verify_certificate(doc)
+    assert not ok
+    assert len(messages) == 1 and messages[0].startswith(message)
+
+
+def test_verify_accepts_sorted_keys():
+    # the stored checks then differ from the recomputed ones in key order only
+    doc = json.loads(json.dumps(build_case(3, 5).to_doc(), sort_keys=True))
+    assert list(doc["checks"][1]["witness"]) == ["expected_diagonal", "gram"]
+    assert verify_certificate(doc) == (True, [])
+
+
+@pytest.mark.parametrize("keys", [lambda ks: [], list, " ".join], ids=["empty", "list", "string"])
+def test_verify_refuses_non_object(keys):
+    # the list and the string hold every field name, so `in` finds them all
+    doc = keys(build_case(3, 5).to_doc())
+    assert verify_certificate(doc) == (False, ["certificate is not a JSON object"])
+
+
 def _digest(obj) -> str:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()

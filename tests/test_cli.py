@@ -59,6 +59,21 @@ def test_case_build_and_verify(tmp_path, capsys):
     assert main(["case", "verify", str(cert_file)]) == 1
 
 
+CERT_FIELDS = [
+    "sigma", "d", "ambient_gram", "embedding_basis",
+    "complement_basis", "complement_gram", "checks", "passed",
+]
+
+
+@pytest.mark.parametrize("doc", [CERT_FIELDS, " ".join(CERT_FIELDS)], ids=["list", "string"])
+def test_case_verify_refuses_non_object(tmp_path, capsys, doc):
+    # each holds the eight field names, so the missing-field test passes them
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["case", "verify", str(path)]) == 1
+    assert "certificate is not a JSON object" in capsys.readouterr().err
+
+
 def test_case_build_stdout(capsys):
     assert main(["case", "build", "--sigma", "5", "--d", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3enriques.embeddings import (
     LatticeEmbedding,
@@ -27,7 +29,12 @@ from k3enriques.lattice import (
     twist,
 )
 
-from oracles import random_int_matrix
+from oracles import (
+    fraction_extends_to,
+    fraction_glue,
+    fraction_negation_map,
+    random_int_matrix,
+)
 
 U2 = twist(builtin("U"), 2)
 
@@ -189,17 +196,83 @@ def test_extends_to_z4_fails():
     assert extends_to(negation_map, negation_map, g)
 
 
+def _compose(f, h):
+    return lambda v: f(h(v))
+
+
 def test_extends_to_composition():
     M = diag_lattice([4, -4])
     ov = overlattice(M, [(F(1, 4), F(1, 4))])
     g = glue_data(diag_lattice([4]), diag_lattice([-4]), ov.basis_in_base)
-
-    def compose(f, h):
-        return lambda v: f(h(v))
-
     for f1, p1 in [(identity_map, identity_map), (negation_map, negation_map)]:
         for f2, p2 in [(identity_map, identity_map), (negation_map, negation_map)]:
-            assert extends_to(compose(f1, f2), compose(p1, p2), g)
+            assert extends_to(_compose(f1, f2), _compose(p1, p2), g)
+
+
+def _shift(v):
+    return tuple(x + 1 for x in v)
+
+
+def _third(v):
+    return (F(1, 3),) + tuple(v[1:])
+
+
+def _negate_upper(v):
+    # not a homomorphism: it moves only entries >= 1/2, so only the glue
+    # elements late in sorted order can expose it
+    return tuple(-x % 1 if x >= F(1, 2) else x for x in v)
+
+
+GLUE_MAPS = [
+    identity_map,
+    negation_map,
+    _compose(negation_map, negation_map),
+    _shift,
+    _compose(_shift, negation_map),
+    _third,
+    _negate_upper,
+]
+
+
+@st.composite
+def diagonal_glue(draw):
+    """diag(2k_i) (+) diag(-2k_i), glued by (e_i/t, +-e_i/t) with t | 2k_i."""
+    ks = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    r = len(ks)
+    gens = []
+    for i, k in enumerate(ks):
+        t = draw(st.sampled_from([t for t in range(1, 2 * k + 1) if 2 * k % t == 0]))
+        g = [F(0)] * (2 * r)
+        g[i], g[r + i] = F(1, t), F(draw(st.sampled_from([1, -1])), t)
+        gens.append(g)
+    M, N = diag_lattice([2 * k for k in ks]), diag_lattice([-2 * k for k in ks])
+    return M, N, overlattice(direct_sum(M, N), gens).basis_in_base
+
+
+@settings(max_examples=80, deadline=None)
+@given(diagonal_glue(), st.sampled_from(GLUE_MAPS), st.sampled_from(GLUE_MAPS))
+def test_glue_matches_fraction_oracle(glue, phibar, psibar):
+    M, N, over = glue
+    g = glue_data(M, N, over)
+    elements = fraction_glue(M.rank, over)
+    # the Fraction views are the eager construction of the Fraction glue
+    assert g.order == len(elements)
+    assert g.elements == elements
+    assert all(type(x) is F for s1, s2 in g.elements for x in s1 + s2)
+    assert list(g.gamma.items()) == list(elements)
+    assert g.s1_group == frozenset(s1 for s1, _ in elements)
+    assert g.s2_group == frozenset(s2 for _, s2 in elements)
+    assert extends_to(phibar, psibar, g) == fraction_extends_to(phibar, psibar, elements)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-50, 50), st.fractions(-9, 9, max_denominator=60)), max_size=6)
+)
+def test_negation_map_is_minus_x_mod_one(v):
+    out = negation_map(tuple(v))
+    assert len(out) == len(v)
+    assert all(x == y for x, y in zip(out, fraction_negation_map(v)))
 
 
 def test_index_discriminant_identity():

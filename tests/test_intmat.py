@@ -1,13 +1,20 @@
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from k3enriques.intmat import det, hnf, intmat, kernel_basis, snf
+from k3enriques.intmat import det, eye, hnf, intmat, kernel_basis, rat_inv, snf
 from k3enriques.lattice import _E8_GRAM
 
-from oracles import minors_invariant_factors, naive_det, naive_hnf, random_int_matrix
+from oracles import (
+    fraction_inv,
+    minors_invariant_factors,
+    naive_det,
+    naive_hnf,
+    random_int_matrix,
+)
 
 
 def test_hnf_already_reduced():
@@ -145,3 +152,28 @@ def test_snf_random_square_is_fast_and_small(n):
     assert (u @ m @ v == s).all()
     assert abs(det(u)) == 1 and abs(det(v)) == 1
     assert max(abs(int(x)).bit_length() for x in [*u.flat, *v.flat]) < 1000
+
+
+def test_rat_inv_against_fraction_oracle():
+    rng = random.Random(3)
+    tried = 0
+    while tried < 80:
+        n = rng.randint(1, 8)
+        m = random_int_matrix(rng, n, n, -9, 9)
+        if det(m) == 0:
+            continue
+        tried += 1
+        inv = rat_inv(m)
+        assert all(type(x) is Fraction for x in inv.flat)
+        assert (inv @ m == eye(n)).all()
+        assert inv.tolist() == fraction_inv(m.tolist())
+
+
+def test_rat_inv_refusals():
+    assert rat_inv([]).shape == (0, 0)
+    with pytest.raises(ZeroDivisionError):
+        rat_inv([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="square"):
+        rat_inv([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(TypeError):
+        rat_inv([[Fraction(1, 2)]])
