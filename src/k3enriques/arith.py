@@ -166,11 +166,13 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) via Euler's criterion; p an odd prime."""
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return -1 if r == p - 1 else 1
+    return _legendre(a, p)
+
+
+def _legendre(a: int, p: int) -> int:
+    """legendre for a p already known to be an odd prime."""
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 def arth(p: int, sigma: int, d: int) -> bool:
@@ -181,8 +183,12 @@ def arth(p: int, sigma: int, d: int) -> bool:
         raise ValueError("d must be nonzero")
     if not is_odd_prime(p) or (2 * d) % p == 0:
         raise ValueError(f"p = {p} must be an odd prime not dividing 2d")
-    # Euler's criterion; p is already known to be an odd prime
-    return pow((-1) ** (sigma + 1) * d % p, (p - 1) // 2, p) == p - 1
+    return _arth(p, sigma, d)
+
+
+def _arth(p: int, sigma: int, d: int) -> bool:
+    """arth for arguments already checked, p an odd prime."""
+    return _legendre((-1) ** (sigma + 1) * d, p) == -1
 
 
 def find_d(p: int, sigma: int) -> int | None:
@@ -195,6 +201,11 @@ def find_d(p: int, sigma: int) -> int | None:
         raise ValueError("sigma must be in 2..5")
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
+    return _find_d(p, sigma)
+
+
+def _find_d(p: int, sigma: int) -> int | None:
+    """find_d for a p already known to be an odd prime."""
     # Euler's criterion for -d; d < p / 8, so p never divides d
     want = 1 if sigma in (2, 4) else p - 1
     half = (p - 1) // 2

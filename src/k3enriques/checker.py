@@ -14,11 +14,11 @@ import csv
 import io
 import json
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from math import isqrt
 
-from .arith import arth, find_d, is_odd_prime, legendre, verify_norm_bound
+from .arith import _arth, _find_d, _legendre, is_odd_prime, verify_norm_bound
 from .embeddings import (
     LatticeEmbedding,
     glue_data,
@@ -26,7 +26,7 @@ from .embeddings import (
     orthogonal_complement,
 )
 from .enumeration import count_norm
-from .intmat import intmat, rat_inv, snf, zeros
+from .intmat import rat_inv, snf
 from .lattice import (
     IntegralLattice,
     _prime_powers,
@@ -70,15 +70,19 @@ def gamma2_ambient() -> IntegralLattice:
     return amb
 
 
+# the one ambient of every case computation, built on first use; never changed
+_gamma2 = lru_cache(maxsize=1)(gamma2_ambient)
+
+
 def _case_basis(sigma: int, d: int):
     """Rows of the embedded basis in ambient coordinates (x, y, e1..e8)."""
-    b = zeros(_EMBED_RANK[sigma], 10)
-    b[0, 0] = 1
-    b[0, 1] = d if sigma in (2, 3) else -d
-    b[1, 2] = 1  # e1
+    b = [[0] * 10 for _ in range(_EMBED_RANK[sigma])]
+    b[0][0] = 1
+    b[0][1] = d if sigma in (2, 3) else -d
+    b[1][2] = 1  # e1
     if sigma in (3, 4):
-        b[2, 4] = 1  # e3
-        b[3, 7] = 1  # e6
+        b[2][4] = 1  # e3
+        b[3][7] = 1  # e6
     return b
 
 
@@ -123,7 +127,7 @@ class CaseCertificate:
 
 
 def _mat_list(m) -> tuple:
-    return tuple(tuple(int(x) for x in row) for row in m)
+    return tuple(map(tuple, m.tolist()))
 
 
 def _compute_case(sigma: int, d: int, ambient: IntegralLattice, basis) -> CaseCertificate:
@@ -152,9 +156,9 @@ def _compute_case(sigma: int, d: int, ambient: IntegralLattice, basis) -> CaseCe
     lead = 4 * d if sigma in (2, 3) else -4 * d
     expected_diag = [lead] + [-4] * (emb.rank - 1)
     diag_ok = all(
-        int(emb_gram[i, j]) == (expected_diag[i] if i == j else 0)
-        for i in range(emb.rank)
-        for j in range(emb.rank)
+        x == (expected_diag[i] if i == j else 0)
+        for i, row in enumerate(emb_gram.tolist())
+        for j, x in enumerate(row)
     )
     checks.append(
         Check(
@@ -198,8 +202,9 @@ def _compute_case(sigma: int, d: int, ambient: IntegralLattice, basis) -> CaseCe
         )
     )
 
-    even_ok = all(int(x) % 2 == 0 for row in n_lat.gram for x in row)
-    diag4_ok = all(int(n_lat.gram[i, i]) % 4 == 0 for i in range(n_lat.rank))
+    n_gram = n_lat.gram.tolist()
+    even_ok = all(x % 2 == 0 for row in n_gram for x in row)
+    diag4_ok = all(row[i] % 4 == 0 for i, row in enumerate(n_gram))
     checks.append(
         Check(
             "n_norms_in_4Z",
@@ -301,10 +306,11 @@ def build_case(sigma: int, d: int) -> CaseCertificate:
         raise ValueError("sigma must be in 2..5")
     if d < 1:
         raise ValueError("d must be positive")
-    return _compute_case(sigma, d, gamma2_ambient(), _case_basis(sigma, d))
+    return _compute_case(sigma, d, _gamma2(), _case_basis(sigma, d))
 
 
 _json_text = json.JSONEncoder(sort_keys=True).encode
+_DOC_FIELDS = tuple(f.name for f in fields(CaseCertificate))
 
 
 def _same(a, b) -> bool:
@@ -317,28 +323,22 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     """Re-verify a certificate document from its stored matrices.
 
     The ambient Gram must be exactly that of gamma2_ambient(); a document
-    with any other ambient is refused before any exact work.  Every check is
-    then recomputed from the embedding basis; any mismatch with the stored
-    witnesses, complement data, or pass flags fails the verification, and
-    values must match as JSON (1, 1.0 and true differ).
+    with any other ambient is refused before any exact work, and so is one
+    without exactly the nine fields of CaseCertificate.to_doc.  Every check
+    is then recomputed from the embedding basis; any mismatch with the stored
+    witnesses, complement data, notes or pass flags fails the verification,
+    and values must match as JSON (1, 1.0 and true differ).
     """
     if not isinstance(doc, dict):
         return False, ["certificate is not a JSON object"]
     messages: list[str] = []
-    required = (
-        "sigma",
-        "d",
-        "ambient_gram",
-        "embedding_basis",
-        "complement_basis",
-        "complement_gram",
-        "checks",
-        "passed",
-    )
-    missing = [k for k in required if k not in doc]
+    missing = [k for k in _DOC_FIELDS if k not in doc]
     if missing:
         return False, [f"missing fields: {missing}"]
-    ambient = gamma2_ambient()
+    unknown = [k for k in doc if k not in _DOC_FIELDS]
+    if unknown:
+        return False, [f"unknown fields: {unknown}"]
+    ambient = _gamma2()
     if not _same(doc["ambient_gram"], ambient.gram.tolist()):
         return False, [f"ambient_gram is not the Gram matrix of {ambient.label}"]
     # JSON reads 1.5 as float and true as bool; int() would accept both
@@ -358,10 +358,10 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     ):
         return False, ["embedding_basis is not a list of rows of JSON integers"]
     try:
-        fresh = _compute_case(doc["sigma"], doc["d"], ambient, intmat(basis)).to_doc()
+        fresh = _compute_case(doc["sigma"], doc["d"], ambient, basis).to_doc()
     except Exception as exc:  # malformed matrices
         return False, [f"recomputation failed: {exc}"]
-    for key in ("complement_basis", "complement_gram"):
+    for key in ("complement_basis", "complement_gram", "notes"):
         if not _same(fresh[key], doc[key]):
             messages.append(f"{key} does not match recomputation")
     stored = {c["name"]: c for c in checks}
@@ -395,11 +395,11 @@ def gamma2_in_k3() -> GlueReport:
     U + U(2) + E8(2) and the glue group of the pair must have order 2^10.
     """
     lam = builtin("LambdaK3")
-    basis = zeros(10, 22)
-    basis[0, 0] = basis[0, 2] = 1  # X across the first two hyperbolic planes
-    basis[1, 1] = basis[1, 3] = 1  # Y
+    basis = [[0] * 22 for _ in range(10)]
+    basis[0][0] = basis[0][2] = 1  # X across the first two hyperbolic planes
+    basis[1][1] = basis[1][3] = 1  # Y
     for i in range(8):
-        basis[2 + i, 6 + i] = basis[2 + i, 14 + i] = 1
+        basis[2 + i][6 + i] = basis[2 + i][14 + i] = 1
     emb = LatticeEmbedding(lam, basis)
     comp = orthogonal_complement(emb)
     comp_lat = comp.sublattice()
@@ -491,7 +491,7 @@ def decide_enriques(p: int, sigma: int) -> Verdict:
             },
         )
     if sigma >= 6:
-        witness = arth(p, 6, -(2**10))
+        witness = _arth(p, 6, -(2**10))
         detail = "the twisted rank-10 discriminant 2^10 is a perfect square"
         if sigma >= 7:
             detail = f"rank bound: 22 - 2*{sigma} < 10"
@@ -502,7 +502,7 @@ def decide_enriques(p: int, sigma: int) -> Verdict:
             {"kind": "SigmaBoundExceeded", "arth_sigma6_witness": witness, "detail": detail},
         )
 
-    d = find_d(p, sigma)
+    d = _find_d(p, sigma)
     if d is None:
         return Verdict(
             p,
@@ -517,8 +517,8 @@ def decide_enriques(p: int, sigma: int) -> Verdict:
     bound_ok = verify_norm_bound(p, d)
     a = _DT_POWER[sigma]
     crosscheck = {
-        "parity_rule": legendre(-d, p) == (1 if sigma in (2, 4) else -1),
-        "arth_rule": arth(p, sigma, -(4**a) * d),
+        "parity_rule": _legendre(-d, p) == (1 if sigma in (2, 4) else -1),
+        "arth_rule": _arth(p, sigma, -(4**a) * d),
     }
     if cert.passed and bound_ok:
         return Verdict(

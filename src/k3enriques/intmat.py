@@ -1,8 +1,10 @@
 """Exact integer matrix routines: HNF, SNF, kernels and determinants.
 
-Matrices are numpy arrays with ``dtype=object`` holding Python ints, so every
-operation is arbitrary precision.  Only ``rat_inv`` returns ``fractions.Fraction``.
-No floating point is used anywhere in this module.
+The kernels compute on lists of Python int rows (arbitrary precision, no
+floating point): a matrix is converted once on entry and returned as a numpy
+array with ``dtype=object`` holding Python ints; only ``rat_inv`` returns
+``fractions.Fraction``.  Entries must be integers (``__index__``, or a
+``Fraction`` with denominator 1); any other entry raises TypeError.
 """
 from __future__ import annotations
 
@@ -13,31 +15,87 @@ from operator import index
 import numpy as np
 
 
+def _int(x) -> int:
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else index(x)
+
+
+def _rows(m) -> tuple[list[list[int]], int]:
+    """The entries of the matrix m as lists of Python ints, and its column count."""
+    if isinstance(m, np.ndarray) and m.ndim == 2:
+        rows, c = m.tolist(), m.shape[1]
+    else:
+        rows = [list(r) for r in m]
+        c = len(rows[0]) if rows else 0
+        if any(len(r) != c for r in rows):
+            raise ValueError("matrix must be rectangular")
+    try:
+        return [list(map(index, r)) for r in rows], c
+    except TypeError:
+        return [list(map(_int, r)) for r in rows], c
+
+
+def _array(rows: list[list[int]], c: int) -> np.ndarray:
+    """The int rows as an exact (dtype=object) matrix with c columns."""
+    a = np.empty((len(rows), c), dtype=object)
+    if rows:
+        a[:] = rows
+    return a
+
+
+def _eye(n: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
 def intmat(rows) -> np.ndarray:
     """Build an exact integer matrix (dtype=object) from nested sequences."""
-    rows = [list(r) for r in rows]
-    if rows:
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("matrix must be rectangular")
-    else:
-        ncols = 0
-    a = np.zeros((len(rows), ncols), dtype=object)
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            a[i, j] = int(x)
-    return a
+    return _array(*_rows(rows))
 
 
-def eye(n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        a[i, i] = 1
-    return a
+def _hnf(a: list[list[int]], u: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form of the int rows a, in place; every row
+    operation is applied to the rows u as well, which are returned."""
+    r, c = len(a), len(a[0]) if a else 0
 
+    def sub(i, q):
+        # row i -= q * row `row`; left of col that row is zero
+        ai, ap, ui, up = a[i], a[row], u[i], u[row]
+        for j in range(col, c):
+            ai[j] -= q * ap[j]
+        for j in range(r):
+            ui[j] -= q * up[j]
 
-def zeros(r: int, c: int) -> np.ndarray:
-    return np.zeros((r, c), dtype=object)
+    row = 0
+    for col in range(c):
+        if row == r:
+            break
+        # gcd-reduce the entries of this column below `row` onto one pivot
+        while True:
+            nz = [i for i in range(row, r) if a[i][col] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(a[i][col]))
+            if piv != row:
+                a[row], a[piv] = a[piv], a[row]
+                u[row], u[piv] = u[piv], u[row]
+            done = True
+            for i in range(row + 1, r):
+                if a[i][col] != 0:
+                    sub(i, a[i][col] // a[row][col])
+                    if a[i][col] != 0:
+                        done = False
+            if done:
+                break
+        if a[row][col] == 0:
+            continue
+        if a[row][col] < 0:
+            a[row] = [-x for x in a[row]]
+            u[row] = [-x for x in u[row]]
+        for i in range(row):
+            q = a[i][col] // a[row][col]
+            if q != 0:
+                sub(i, q)
+        row += 1
+    return u
 
 
 def hnf(m) -> tuple[np.ndarray, np.ndarray]:
@@ -47,44 +105,9 @@ def hnf(m) -> tuple[np.ndarray, np.ndarray]:
     form with positive pivots; entries above each pivot are reduced into
     [0, pivot).
     """
-    a = intmat(m)
-    r, c = a.shape
-    u = eye(r)
-    row = 0
-    for col in range(c):
-        if row == r:
-            break
-        # gcd-reduce the entries of this column below `row` onto one pivot
-        while True:
-            nz = [i for i in range(row, r) if a[i, col] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(a[i, col]))
-            if piv != row:
-                a[[row, piv]] = a[[piv, row]]
-                u[[row, piv]] = u[[piv, row]]
-            done = True
-            for i in range(row + 1, r):
-                if a[i, col] != 0:
-                    q = a[i, col] // a[row, col]
-                    a[i] -= q * a[row]
-                    u[i] -= q * u[row]
-                    if a[i, col] != 0:
-                        done = False
-            if done:
-                break
-        if a[row, col] == 0:
-            continue
-        if a[row, col] < 0:
-            a[row] = -a[row]
-            u[row] = -u[row]
-        for i in range(row):
-            q = a[i, col] // a[row, col]
-            if q != 0:
-                a[i] -= q * a[row]
-                u[i] -= q * u[row]
-        row += 1
-    return a, u
+    a, c = _rows(m)
+    u = _hnf(a, _eye(len(a)))
+    return _array(a, c), _array(u, len(a))
 
 
 def snf(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -95,54 +118,54 @@ def snf(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Row and column Hermite forms alternate until the matrix is diagonal
     (Kannan-Bachem), which keeps entries and transforms small; a gcd/lcm
-    pass over the diagonal then restores the chain.
+    pass over the diagonal then restores the chain.  The row passes act on
+    U and the column passes, as row passes on the transpose, on V^T.
     """
-    a = intmat(m)
-    r, c = a.shape
-    u, v = eye(r), eye(c)
-    while True:
-        h, x = hnf(a)
-        h, y = hnf(h.T)
-        a, u, v = h.T, x @ u, v @ y.T
-        if not any(a[i, j] for i in range(r) for j in range(c) if i != j):
+    a, c = _rows(m)
+    r = len(a)
+    u, vt = _eye(r), _eye(c)
+    while r and c:
+        _hnf(a, u)
+        a = list(map(list, zip(*a)))
+        _hnf(a, vt)
+        a = list(map(list, zip(*a)))
+        if not any(a[i][j] for i in range(r) for j in range(c) if i != j):
             break
     # Hermite forms put zero rows last, so a zero p is followed by zeros only
     k = min(r, c)
     for i in range(k):
         for j in range(i + 1, k):
-            p, q = a[i, i], a[j, j]
+            p, q = a[i][i], a[j][j]
             if p == 0 or q % p == 0:
                 continue
             # [s t; -q/g p/g] diag(p, q) [1 -t*q/g; 1 s*p/g] = diag(g, p*q/g)
             g = gcd(p, q)
             s = pow(p // g, -1, q // g)
             t = (g - s * p) // q
-            u[i], u[j] = s * u[i] + t * u[j], p // g * u[j] - q // g * u[i]
-            v[:, i], v[:, j] = v[:, i] + v[:, j], s * p // g * v[:, j] - t * q // g * v[:, i]
-            a[i, i], a[j, j] = g, p // g * q
-    return a, u, v
+            ui, uj, vi, vj = u[i], u[j], vt[i], vt[j]
+            u[i] = [s * x + t * y for x, y in zip(ui, uj)]
+            u[j] = [p // g * y - q // g * x for x, y in zip(ui, uj)]
+            vt[i] = [x + y for x, y in zip(vi, vj)]
+            vt[j] = [s * p // g * y - t * q // g * x for x, y in zip(vi, vj)]
+            a[i][i], a[j][j] = g, p // g * q
+    return _array(a, c), _array(u, r), _array(list(map(list, zip(*vt))), c)
 
 
 def kernel_basis(m) -> np.ndarray:
     """Basis of the saturated left integer kernel {x : x @ m = 0} (rows)."""
-    a = intmat(m)
-    h, u = hnf(a)
-    rows = [i for i in range(a.shape[0]) if all(x == 0 for x in h[i])]
-    out = zeros(len(rows), a.shape[0])
-    for k, i in enumerate(rows):
-        out[k] = u[i]
-    return out
+    a, _ = _rows(m)
+    u = _hnf(a, _eye(len(a)))
+    return _array([x for h, x in zip(a, u) if not any(h)], len(a))
 
 
 def det(m):
     """Exact determinant via fraction-free (Bareiss) elimination."""
-    a = intmat(m)
-    n, c = a.shape
+    a, c = _rows(m)
+    n = len(a)
     if n != c:
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return 1
-    a = [[int(x) for x in row] for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -164,13 +187,12 @@ def rat_inv(m) -> np.ndarray:
 
     Fraction-free (Bareiss) Gauss-Jordan elimination of [m | I] on Python
     ints: every division is exact, and it ends at [d*I | d*m^-1] with
-    d = +-det(m).  Entries must be integers; singular m raises ZeroDivisionError.
+    d = +-det(m).  Singular m raises ZeroDivisionError.
     """
-    a = [[index(x) for x in row] for row in m]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    a, n = _rows(m)
+    if len(a) != n:
         raise ValueError("inverse requires a square matrix")
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    a = [row + e for row, e in zip(a, _eye(n))]
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k] != 0), None)
@@ -183,4 +205,4 @@ def rat_inv(m) -> np.ndarray:
                 f = a[i][k]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
         prev = p
-    return np.array([[Fraction(x, prev) for x in row[n:]] for row in a], dtype=object).reshape(n, n)
+    return _array([[Fraction(x, prev) for x in row[n:]] for row in a], n)

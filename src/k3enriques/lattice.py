@@ -14,7 +14,7 @@ from importlib import resources
 from math import prod
 
 from .arith import _pollard_brent, is_odd_prime
-from .intmat import det, intmat, snf, zeros
+from .intmat import det, intmat, snf
 
 
 class IntegralLattice:
@@ -78,12 +78,10 @@ def builtin(name: str) -> IntegralLattice:
 
 def diag_lattice(entries, label: str | None = None) -> IntegralLattice:
     """Diagonal lattice diag(entries); zero entries are rejected."""
-    entries = [int(e) for e in entries]
+    entries = list(entries)
     if any(e == 0 for e in entries):
         raise ValueError("diagonal entries must be nonzero")
-    g = zeros(len(entries), len(entries))
-    for i, e in enumerate(entries):
-        g[i, i] = e
+    g = [[e * (i == j) for j in range(len(entries))] for i, e in enumerate(entries)]
     return IntegralLattice(g, label)
 
 
@@ -97,11 +95,8 @@ def twist(L: IntegralLattice, n: int) -> IntegralLattice:
 
 def direct_sum(L1: IntegralLattice, L2: IntegralLattice) -> IntegralLattice:
     """Orthogonal direct sum, block-diagonal Gram."""
-    r1, r2 = L1.rank, L2.rank
-    g = zeros(r1 + r2, r1 + r2)
-    g[:r1, :r1] = L1.gram
-    g[r1:, r1:] = L2.gram
-    return IntegralLattice(g)
+    g1, g2 = L1.gram.tolist(), L2.gram.tolist()
+    return IntegralLattice([r + [0] * L2.rank for r in g1] + [[0] * L1.rank + r for r in g2])
 
 
 def discriminant(L: IntegralLattice):
@@ -123,7 +118,7 @@ def _ldl(gram) -> tuple[list[int], list[list[int]]]:
     either step changes coordinates, and neither runs when all d are
     positive.  A degenerate form ends d with 0.
     """
-    a = [[int(x) for x in row] for row in gram]
+    a = gram.tolist()
     n = len(a)
     d, rows = [1], []
     k = 0

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from k3enriques import checker
+from k3enriques import arith, checker
 from k3enriques.checker import (
     build_case,
     decide_enriques,
@@ -110,6 +110,20 @@ def test_verdict_invariants():
             if v.answer == "Yes" and sigma >= 2:
                 assert v.certificate is not None and v.certificate.passed
                 assert 8 * v.d < p
+
+
+def test_decide_tests_primality_once(monkeypatch):
+    # 4d stays below the trial-division range, so factoring it tests no prime
+    p, seen = 10**9 + 7, []
+    tested = checker.is_odd_prime
+    monkeypatch.setattr(arith, "is_odd_prime", lambda n: seen.append(n) or tested(n))
+    monkeypatch.setattr(checker, "is_odd_prime", arith.is_odd_prime)
+    for sigma in range(1, 11):
+        build_case.cache_clear()
+        seen.clear()
+        verdict = decide_enriques(p, sigma)
+        assert verdict.answer == ("Yes" if sigma <= 5 else "No")
+        assert seen == [p], (sigma, seen)
 
 
 def test_arth_crosscheck_reported():
@@ -228,6 +242,22 @@ def test_verify_compares_json_types(mutate, message):
     ok, messages = verify_certificate(doc)
     assert not ok
     assert len(messages) == 1 and messages[0].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc.update(notes=["anything"]), "notes does not match recomputation"),
+        (lambda doc: doc.pop("notes"), "missing fields: ['notes']"),
+        (lambda doc: doc.update(extra=1), "unknown fields: ['extra']"),
+    ],
+    ids=["notes-replaced", "notes-deleted", "extra-field"],
+)
+def test_verify_covers_notes_and_unknown_fields(mutate, message):
+    doc = json.loads(json.dumps(build_case(3, 5).to_doc()))
+    assert verify_certificate(doc) == (True, [])
+    mutate(doc)
+    assert verify_certificate(doc) == (False, [message])
 
 
 def test_verify_accepts_sorted_keys():

@@ -1,12 +1,13 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3enriques.enumeration import count_norm, min_norm, short_vectors
-from k3enriques.intmat import det, eye
+from k3enriques.intmat import det
 from k3enriques.lattice import IntegralLattice, builtin, diag_lattice, signature, twist
 
 from oracles import box_short_vectors, random_even_symmetric, random_unimodular
@@ -61,7 +62,7 @@ def test_symmetry_and_order():
 
 def _random_negdef(rng, n):
     while True:
-        g = random_even_symmetric(rng, n, -3, 3) - 12 * n * eye(n)
+        g = random_even_symmetric(rng, n, -3, 3) - 12 * n * np.identity(n, dtype=object)
         L = IntegralLattice(g)
         if det(g) != 0 and signature(L) == (0, n):
             return L

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from k3enriques.intmat import det, eye, hnf, intmat, kernel_basis, rat_inv, snf
-from k3enriques.lattice import _E8_GRAM
+from k3enriques.embeddings import LatticeEmbedding
+from k3enriques.intmat import det, hnf, intmat, kernel_basis, rat_inv, snf
+from k3enriques.lattice import _E8_GRAM, builtin, diag_lattice
 
 from oracles import (
     fraction_inv,
@@ -165,7 +168,7 @@ def test_rat_inv_against_fraction_oracle():
         tried += 1
         inv = rat_inv(m)
         assert all(type(x) is Fraction for x in inv.flat)
-        assert (inv @ m == eye(n)).all()
+        assert (inv @ m == np.identity(n, dtype=object)).all()
         assert inv.tolist() == fraction_inv(m.tolist())
 
 
@@ -177,3 +180,67 @@ def test_rat_inv_refusals():
         rat_inv([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(TypeError):
         rat_inv([[Fraction(1, 2)]])
+
+
+def test_non_integer_entries_are_refused_not_truncated():
+    with pytest.raises(TypeError):
+        det([[Fraction(3, 2)]])
+    with pytest.raises(TypeError):
+        intmat([[2.7, -0.5]])
+    with pytest.raises(TypeError):
+        LatticeEmbedding(builtin("U"), [[0.5, 1.9]])
+    with pytest.raises(TypeError):
+        diag_lattice([2, 1.5])
+    # integral Fractions (overlattice passes them) and numpy integers are integers
+    m = intmat([[Fraction(4, 2), np.int64(-3)]])
+    assert m.tolist() == [[2, -3]] and all(type(x) is int for x in m.flat)
+    assert det([[Fraction(-6, 3)]]) == -2
+
+
+@st.composite
+def _int_matrices(draw):
+    """(0..10) x (0..10) integer matrices; half of them are products through
+    an inner dimension below min(r, c), so rank-deficient."""
+    r, c = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+
+    def block(rows, cols, lo, hi):
+        row = st.lists(st.integers(lo, hi), min_size=cols, max_size=cols)
+        return intmat(draw(st.lists(row, min_size=rows, max_size=rows))).reshape(rows, cols)
+
+    if draw(st.booleans()) or min(r, c) == 0:
+        return block(r, c, -9, 9)
+    k = draw(st.integers(0, min(r, c) - 1))
+    return block(r, k, -3, 3) @ block(k, c, -3, 3)
+
+
+def _exact(*mats):
+    return all(m.dtype == object and all(type(x) is int for x in m.flat) for m in mats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_matrices())
+def test_int_row_kernels_against_oracles(m):
+    r, c = m.shape
+    rows = m.tolist()
+    h, u = hnf(m)
+    s, su, sv = snf(m)
+    k = kernel_basis(m)
+    assert _exact(h, u, s, su, sv, k)
+    shapes = (h.shape, u.shape, s.shape, su.shape, sv.shape)
+    assert shapes == ((r, c), (r, r), (r, c), (r, r), (c, c))
+    assert h.tolist() == naive_hnf(rows)
+    assert (u @ m).tolist() == h.tolist() and (su @ m @ sv).tolist() == s.tolist()
+    assert all(abs(det(x)) == 1 for x in (u, su, sv))
+    diag = [s[i, i] for i in range(min(r, c))]
+    assert s.tolist() == [[diag[i] if i == j else 0 for j in range(c)] for i in range(r)]
+    rank = sum(1 for x in diag if x)
+    assert all(b % a == 0 for a, b in zip(diag[:rank], diag[1:]))
+    # the minors and cofactor oracles are exponential: run them on small sides
+    if min(r, c) <= 4:
+        assert diag[:rank] == minors_invariant_factors(rows)
+    if r == c and r <= 6:
+        assert det(m) == naive_det(rows)
+    # kernel: annihilates m, has dimension r - rank, and is saturated
+    assert k.shape == (r - rank, r)
+    assert not any((k @ m).flat)
+    assert all(x == 1 for x in snf(k)[0].diagonal())

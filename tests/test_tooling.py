@@ -1,11 +1,14 @@
 """Repository rules checked on the source: the benchmark wraps library
-functions by name, so a rename must fail here too, no function in the
-package or its tests holds an import, and the glue extension test runs on
-integers."""
+functions by name, so a rename must fail here too, a traced run through
+those wrappers must succeed, no function in the package or its tests holds
+an import, and the glue extension test runs on integers."""
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +31,38 @@ def test_trace_targets_resolve():
         mod = importlib.import_module(f"k3enriques.{modname}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"k3enriques.{modname}.{name}"
+
+
+# the benchmark's --trace 1 path in miniature: the wrappers read .flat off
+# every matrix hnf and snf return, so a changed return type fails here
+_TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.install()
+from k3enriques import checker, cli
+from k3enriques.lattice import fixture_path
+doc = json.loads(json.dumps(checker.build_case(2, 5).to_doc()))
+assert checker.verify_certificate(doc) == (True, [])
+e8 = str(fixture_path("E8"))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["lattice", "info", e8]) == 0
+    assert cli.main(["lattice", "roots", e8]) == 0
+assert checker.gamma2_in_k3().passed
+bits = tracer.metrics(1)["intmat.snf.out_bits"]["value"]
+assert bits > 0, bits
+"""
+
+
+def test_traced_run_succeeds():
+    # a subprocess, so that the wrappers do not leak into other tests
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(TRACING)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_glue_workload_patch_point():
