@@ -235,8 +235,8 @@ def coprime_complement_disc(
     For a primitive sublattice whose discriminant is coprime to the ambient
     one, the complement's torsion form is the direct sum of the sublattice's
     form (sign-reversed here, matching the orthogonal-complement convention
-    recorded in certificates) and the ambient form.  Divisors are refactored
-    into canonical prime-power order.
+    recorded in certificates) and the ambient form.  Divisors are split into
+    prime powers, and the components come in ascending prime-power order.
     """
     if gcd(dg_M.order, dg_L.order) != 1:
         raise ValueError(
@@ -259,7 +259,7 @@ def coprime_complement_disc(
             a = d // pe
             gen = tuple(a * x % 1 for x in g)
             split.append((pe, gen, a * a * q % 2, src, a))
-    split.sort(key=lambda c: (_prime_powers(c[0])[0], c[0], c[1]))
+    split.sort(key=lambda c: (c[0], c[1]))
 
     def b_source(si, ai, sj, aj):
         side_i, i = si

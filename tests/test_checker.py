@@ -198,6 +198,68 @@ def test_verify_refuses_non_integer_fields(mutate, message):
     assert len(messages) == 1 and messages[0].startswith(message)
 
 
+@pytest.mark.parametrize(
+    "sigma, d, message",
+    [(7, 1, "sigma must be in 2..5"), (1, 5, "sigma must be in 2..5"), (2, 0, "d must be positive")],
+    ids=["sigma-7", "sigma-1", "d-0"],
+)
+def test_verify_refuses_out_of_range_sigma_and_d(sigma, d, message):
+    # the same reason, from the same check, as build_case gives
+    with pytest.raises(ValueError, match=message):
+        build_case(sigma, d)
+    doc = json.loads(json.dumps(build_case(3, 5).to_doc()))
+    doc.update(sigma=sigma, d=d)
+    assert verify_certificate(doc) == (False, [message])
+
+
+def _leaves(node, path=()):
+    # (path, value) of every JSON leaf below node
+    if isinstance(node, (dict, list)):
+        for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(v, (*path, k))
+    else:
+        yield path, node
+
+
+def _leaf_mutations(value):
+    # one value per mutation that changes the leaf's JSON text
+    if type(value) is bool:
+        return [not value, int(value)]
+    if type(value) is int:
+        return [value + 1, float(value)]
+    return [value + "x"]
+
+
+def _replaced(doc, path, value):
+    out = json.loads(json.dumps(doc))
+    *keys, last = path
+    node = out
+    for k in keys:
+        node = node[k]
+    node[last] = value
+    return out
+
+
+def test_verify_refuses_every_leaf_mutation():
+    doc = json.loads(json.dumps(build_case(3, 5).to_doc()))
+    assert verify_certificate(doc) == (True, [])
+    assert verify_certificate(json.loads(json.dumps(doc, sort_keys=True))) == (True, [])
+    leaves = list(_leaves(doc))
+    assert {path[0] for path, _ in leaves} == set(doc)
+    for path, value in leaves:
+        for new in _leaf_mutations(value):
+            ok, messages = verify_certificate(_replaced(doc, path, new))
+            assert not ok, (path, new)
+            if path[0] not in ("sigma", "d", "embedding_basis"):
+                assert len(messages) == 1 and messages[0].startswith(path[0]), (path, messages)
+    checks = doc["checks"]
+    for edited in (checks[::-1], checks[1:], [*checks, checks[2]]):
+        assert verify_certificate({**doc, "checks": edited}) == (
+            False,
+            ["checks does not match recomputation"],
+        )
+
+
 def _retype(doc, path, value):
     # the stored value equals the new one under Python ==, only its JSON type differs
     *keys, last = path
@@ -215,15 +277,15 @@ def _retype(doc, path, value):
         (lambda doc: _retype(doc, ["ambient_gram", 0, 1], 2.0), "ambient_gram is not"),
         (
             lambda doc: _retype(doc, ["checks", 0, "witness", "snf_divisors", 0], 1.0),
-            "check embedding_primitive does not",
+            "checks does not match",
         ),
-        (lambda doc: doc.update(passed="no"), "passed is not a JSON boolean"),
+        (lambda doc: doc.update(passed="no"), "passed does not match"),
         (
             lambda doc: _retype(doc, ["checks", 3, "passed"], 1),
-            "check n_negative_definite does not",
+            "checks does not match",
         ),
-        (lambda doc: doc.update(checks=5), "checks is not a list"),
-        (lambda doc: doc["checks"].append(dict(doc["checks"][0])), "checks is not a list"),
+        (lambda doc: doc.update(checks=5), "checks does not match"),
+        (lambda doc: doc["checks"].append(dict(doc["checks"][0])), "checks does not match"),
     ],
     ids=[
         "gram-float",
