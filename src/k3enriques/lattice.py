@@ -213,10 +213,6 @@ class DiscriminantGroup:
     def order(self) -> int:
         return prod(self.divisors, start=1)
 
-    def structure(self) -> tuple:
-        """Canonical prime-power multiset of the group, for comparisons."""
-        return tuple(sorted(q for d in self.divisors for q in _prime_powers(d)))
-
 
 def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:
     """Elementary divisors and generators of L*/L, with b and q values.

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import sys
 import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3enriques import arith, checker
 from k3enriques.checker import (
@@ -15,7 +18,13 @@ from k3enriques.checker import (
 )
 from k3enriques.embeddings import extends_to, identity_map, negation_map
 from k3enriques.intmat import intmat
-from k3enriques.lattice import FIXTURES, discriminant_group, fixture_path, load_lattice
+from k3enriques.lattice import (
+    FIXTURES,
+    IntegralLattice,
+    discriminant_group,
+    fixture_path,
+    load_lattice,
+)
 
 
 def _check(cert, name):
@@ -170,7 +179,7 @@ def test_verify_refuses_foreign_ambient_quickly():
     ok, messages = verify_certificate(mutated)
     assert time.perf_counter() - t0 < 1.0
     assert not ok
-    assert messages == ["ambient_gram is not the Gram matrix of U(2)+E8(2)"]
+    assert messages == ["ambient_gram does not match recomputation"]
 
 
 def _set_basis_entry(doc, value):
@@ -181,9 +190,9 @@ def _set_basis_entry(doc, value):
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda doc: _set_basis_entry(doc, 1.5), "embedding_basis is not"),
-        (lambda doc: _set_basis_entry(doc, True), "embedding_basis is not"),
-        (lambda doc: _set_basis_entry(doc, "1"), "embedding_basis is not"),
+        (lambda doc: _set_basis_entry(doc, 1.5), "embedding_basis does not match"),
+        (lambda doc: _set_basis_entry(doc, True), "embedding_basis does not match"),
+        (lambda doc: _set_basis_entry(doc, "1"), "embedding_basis does not match"),
         (lambda doc: doc.update(d=5.9), "d is not a JSON integer"),
         (lambda doc: doc.update(sigma="3"), "sigma is not a JSON integer"),
     ],
@@ -210,6 +219,70 @@ def test_verify_refuses_out_of_range_sigma_and_d(sigma, d, message):
     doc = json.loads(json.dumps(build_case(3, 5).to_doc()))
     doc.update(sigma=sigma, d=d)
     assert verify_certificate(doc) == (False, [message])
+
+
+def test_verify_refuses_forged_basis_quickly():
+    # [e2 + K e1, e1] spans the same block of E8(2) for every K; the verifier
+    # builds its own basis, so K does not choose its work
+    doc = json.loads(json.dumps(build_case(5, 1).to_doc()))
+    forged = [[0] * 10 for _ in range(2)]
+    forged[0][2], forged[0][3], forged[1][2] = 2**40, 1, 1
+    doc["embedding_basis"] = forged
+    t0 = time.perf_counter()
+    result = verify_certificate(doc)
+    assert time.perf_counter() - t0 < 1.0
+    assert result == (False, ["embedding_basis does not match recomputation"])
+
+
+def test_verify_refuses_swapped_sigma_by_field():
+    # the (4, 5) case is built, not the stored sigma-3 matrices
+    doc = json.loads(json.dumps(build_case(3, 5).to_doc()))
+    doc["sigma"] = 4
+    assert verify_certificate(doc) == (
+        False,
+        [
+            f"{k} does not match recomputation"
+            for k in ("embedding_basis", "complement_basis", "complement_gram", "checks", "notes")
+        ],
+    )
+
+
+def _nested(depth):
+    out = []
+    for _ in range(depth):
+        out = [out]
+    return out
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # past the int-to-str digit limit: no JSON text holds it
+        (("complement_gram", 0, 0), 10**5000, "complement_gram does not match recomputation"),
+        (("d",), 10**4301, "recomputation failed: Exceeds the limit"),
+        # deeper than the pickler recurses
+        (("notes",), _nested(2 * sys.getrecursionlimit()), "notes does not match recomputation"),
+    ],
+    ids=["huge-entry", "huge-d", "deep-notes"],
+)
+def test_verify_refuses_without_raising(path, value, message):
+    ok, messages = verify_certificate(_replaced(build_case(3, 5).to_doc(), path, value))
+    assert not ok
+    assert len(messages) == 1 and messages[0].startswith(message)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 10**12))
+def test_compute_case_passes_with_snf_divisors(sigma, d):
+    cert = checker._compute_case(sigma, d)
+    assert cert.passed
+    if sigma in (2, 3):
+        n_gram = cert.complement_gram
+    else:
+        n_gram = _check(cert, "embedded_gram_diagonal").witness["gram"]
+    # the divisors of the discriminant group, the route the case took before
+    oracle = discriminant_group(IntegralLattice(n_gram)).divisors
+    assert _check(cert, "n_divisors").witness["computed"] == list(oracle)
 
 
 def _leaves(node, path=()):
@@ -250,7 +323,7 @@ def test_verify_refuses_every_leaf_mutation():
         for new in _leaf_mutations(value):
             ok, messages = verify_certificate(_replaced(doc, path, new))
             assert not ok, (path, new)
-            if path[0] not in ("sigma", "d", "embedding_basis"):
+            if path[0] not in ("sigma", "d"):
                 assert len(messages) == 1 and messages[0].startswith(path[0]), (path, messages)
     checks = doc["checks"]
     for edited in (checks[::-1], checks[1:], [*checks, checks[2]]):
@@ -274,7 +347,7 @@ def _retype(doc, path, value):
     [
         (lambda doc: _retype(doc, ["complement_gram", 5, 5], -4.0), "complement_gram does not"),
         (lambda doc: _retype(doc, ["complement_basis", 0, 4], True), "complement_basis does not"),
-        (lambda doc: _retype(doc, ["ambient_gram", 0, 1], 2.0), "ambient_gram is not"),
+        (lambda doc: _retype(doc, ["ambient_gram", 0, 1], 2.0), "ambient_gram does not"),
         (
             lambda doc: _retype(doc, ["checks", 0, "witness", "snf_divisors", 0], 1.0),
             "checks does not match",

@@ -1,7 +1,8 @@
 """Repository rules checked on the source: the benchmark wraps library
 functions by name, so a rename must fail here too, a traced run through
 those wrappers must succeed, no function in the package or its tests holds
-an import, and the glue extension test runs on integers."""
+an import, no module imports a name it does not use, and the glue
+extension test runs on integers."""
 import ast
 import dataclasses
 import importlib
@@ -80,6 +81,26 @@ def test_no_function_local_imports():
                     for node in ast.walk(fn)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
+    assert not found, found
+
+
+def test_no_unused_imports():
+    # every name a module-level import binds is read somewhere in its module
+    found = []
+    for path in sorted((ROOT / "src" / "k3enriques").glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's API
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found
 
 
