@@ -399,7 +399,7 @@ def gamma2_in_k3() -> GlueReport:
     emb = LatticeEmbedding(lam, basis)
     comp = orthogonal_complement(emb)
     comp_lat = comp.sublattice()
-    gamma2 = gamma2_ambient()
+    gamma2 = _gamma2()
 
     checks = [
         Check("embedding_primitive", is_primitive(emb), {}),
@@ -413,14 +413,8 @@ def gamma2_in_k3() -> GlueReport:
     sig = signature(comp_lat)
     checks.append(Check("complement_signature", sig == (2, 10), {"signature": list(sig)}))
     model = direct_sum(direct_sum(builtin("U"), twist(builtin("U"), 2)), twist(builtin("E8"), 2))
-    dc = int(discriminant(comp_lat))
-    checks.append(
-        Check(
-            "complement_discriminant",
-            dc == int(discriminant(model)),
-            {"computed": dc, "model": int(discriminant(model))},
-        )
-    )
+    dc, dm = int(discriminant(comp_lat)), int(discriminant(model))
+    checks.append(Check("complement_discriminant", dc == dm, {"computed": dc, "model": dm}))
     divs = [int(x) for x in discriminant_group(comp_lat).divisors]
     checks.append(Check("complement_divisors", divs == [2] * 10, {"divisors": divs}))
     checks.append(Check("complement_even", is_even(comp_lat), {}))

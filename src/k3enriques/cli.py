@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .checker import build_case, decide_enriques, survey, verify_certificate
 from .enumeration import short_vectors
@@ -20,7 +21,10 @@ from .lattice import (
 )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: it depends on no input, and parse_args keeps no
+    # state between calls
     parser = argparse.ArgumentParser(
         prog="k3enriques",
         description="Exact lattice toolkit for Enriques involutions on supersingular K3 surfaces",
@@ -86,7 +90,10 @@ def _cmd_case(args) -> int:
             print(doc)
         return 0 if cert.passed else 1
     with open(args.file) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except RecursionError:
+            raise ValueError("certificate file is nested too deeply") from None
     ok, messages = verify_certificate(doc)
     if ok:
         print(f"certificate for (sigma={doc['sigma']}, d={doc['d']}) verifies")

@@ -197,7 +197,16 @@ def identity_map(v):
 
 
 def negation_map(v):
-    return tuple(Fraction(-x.numerator % x.denominator, x.denominator) for x in v)
+    """-v mod 1 as Fractions; each distinct value of v is normalised once."""
+    neg, out = {}, []
+    for x in v:
+        r = x.as_integer_ratio()
+        y = neg.get(r)
+        if y is None:
+            n, d = r
+            y = neg[r] = Fraction(-n % d, d)
+        out.append(y)
+    return tuple(out)
 
 
 def _numerators_over(v, den):

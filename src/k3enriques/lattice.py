@@ -259,7 +259,10 @@ def save_lattice(L: IntegralLattice, path) -> None:
 def load_lattice(path) -> IntegralLattice:
     """Read a lattice file produced by save_lattice (or the shipped fixtures)."""
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except RecursionError:
+            raise ValueError("lattice file is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("a lattice file holds one JSON object")
     n, flat = doc.get("rank"), doc.get("gram")

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from k3enriques.cli import main
+from k3enriques.cli import _build_parser, main
 from k3enriques.lattice import builtin, fixture_path, save_lattice
 
 
@@ -111,3 +112,55 @@ def test_info_on_saved_lattice(tmp_path, capsys):
     save_lattice(builtin("E8"), path)
     assert main(["lattice", "info", str(path)]) == 0
     assert "even: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["case", "verify"], ["lattice", "info"]], ids=["case", "lattice"])
+def test_deeply_nested_file_is_input_error(tmp_path, capsys, command):
+    # json.load raises RecursionError on this; the CLI refuses it with a reason
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    path = str(fixture_path("U"))
+    main(["lattice", "info", path])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(3):
+        assert main(["lattice", "info", path]) == 0
+    assert built == []
+
+
+def test_cached_parser_keeps_no_state(capsys):
+    path = str(fixture_path("E8"))
+    commands = [
+        ["lattice", "roots", path, "--norm", "-4"],
+        ["lattice", "roots", path, "--norm", "x"],
+        ["lattice", "roots", path],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    alone = []
+    for argv in commands:
+        _build_parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, _ in alone] == [0, 2, 0]
+    assert alone[0][1].out.startswith("count: 2160\n")
+    assert alone[2][1].out.startswith("count: 240\n")  # the default --norm -2
+    assert [run(argv) for argv in commands] == alone

@@ -273,7 +273,25 @@ def test_glue_matches_fraction_oracle(glue, phibar, psibar):
 def test_negation_map_is_minus_x_mod_one(v):
     out = negation_map(tuple(v))
     assert len(out) == len(v)
+    assert all(type(x) is F and 0 <= x < 1 for x in out)
     assert all(x == y for x, y in zip(out, fraction_negation_map(v)))
+
+
+@pytest.mark.parametrize(
+    "v, expected",
+    [
+        # one value in several forms, sharing the per-call normalisation
+        ((1, F(2, 2), True, 0, False), (F(0),) * 5),
+        ((-3, F(1, 2)), (F(0), F(1, 2))),
+        ((F(1, 2), F(-1, 2), F(3, 2), F(2, 4)), (F(1, 2),) * 4),
+        ((F(-7, 3), 2, F(7, 3)), (F(1, 3), F(0), F(2, 3))),
+    ],
+    ids=["one-as-int-fraction-bool", "int-next-to-half", "halves", "thirds"],
+)
+def test_negation_map_mixed_forms(v, expected):
+    out = negation_map(v)
+    assert out == expected
+    assert all(type(x) is F and 0 <= x < 1 for x in out)
 
 
 def test_index_discriminant_identity():
