@@ -425,7 +425,7 @@ def gamma2_in_k3() -> GlueReport:
     checks.append(
         Check(
             "glue_projection_bijective",
-            g.order == discriminant_group(emb.sublattice()).order,
+            g.order == abs(discriminant(emb.sublattice())),
             {"glue_order": g.order, "l_gamma2_order": 2**10},
         )
     )

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
 from .intmat import det, hnf, intmat, kernel_basis, snf
-from .lattice import DiscriminantGroup, IntegralLattice, _prime_powers, direct_sum
+from .lattice import DiscriminantGroup, IntegralLattice, _prime_powers, direct_sum, is_even
 
 
 class LatticeEmbedding:
@@ -81,35 +82,40 @@ class Overlattice(IntegralLattice):
         self.index = index
 
 
+def _check_glue(gram, gens, den: int) -> None:
+    """Refuse glue vectors g/den (g an int tuple) outside the dual lattice of
+    `gram`, or not isotropic: in an even lattice, q = 0 mod 2 on each and
+    b = 0 mod 1 on each pair make q vanish on the group they generate."""
+    images = [[sum(map(mul, row, g)) for row in gram] for g in gens]
+    if any(y % den for gg in images for y in gg):
+        raise ValueError("glue vector is not in the dual lattice")
+    for i, gg in enumerate(images):
+        q = sum(map(mul, gens[i], gg)) % (2 * den * den)
+        if q:
+            raise ValueError(f"glue is not isotropic: q = {Fraction(q, den * den)}")
+        for h in gens[i + 1 :]:
+            b = sum(map(mul, h, gg)) % (den * den)
+            if b:
+                raise ValueError(f"glue is not isotropic: b = {Fraction(b, den * den)}")
+
+
 def overlattice(M: IntegralLattice, glue_gens) -> Overlattice:
     """The overlattice of M generated by glue vectors in the discriminant group.
 
     Each generator is a rational vector in M (x) Q (coordinates in the basis
     of M) that must lie in the dual lattice; the subgroup they generate must
-    be isotropic for the torsion quadratic form, which for generators means
-    q = 0 mod 2 and pairwise b values integral.
+    be isotropic for the torsion quadratic form.
     """
     n = M.rank
-    G = M.gram
-    gens = [np.array([Fraction(x) for x in g], dtype=object) for g in glue_gens]
-    for g in gens:
-        if g.shape != (n,):
-            raise ValueError("glue vector has wrong length")
-        pair = g @ G
-        if any(x.denominator != 1 for x in pair):
-            raise ValueError("glue vector is not in the dual lattice")
-        q = g @ G @ g % 2
-        if q != 0:
-            raise ValueError(f"glue is not isotropic: q = {q}")
-    for i, gi in enumerate(gens):
-        for gj in gens[i + 1 :]:
-            b = gi @ G @ gj % 1
-            if b != 0:
-                raise ValueError(f"glue is not isotropic: b = {b}")
-    denom = lcm(*(x.denominator for g in gens for x in g))
-    h, _ = hnf([[denom * (i == j) for j in range(n)] for i in range(n)] + [g * denom for g in gens])
+    rows = [[Fraction(x) for x in g] for g in glue_gens]
+    if any(len(r) != n for r in rows):
+        raise ValueError("glue vector has wrong length")
+    denom = lcm(*(x.denominator for r in rows for x in r))
+    gens = [[x.numerator * (denom // x.denominator) for x in r] for r in rows]
+    _check_glue(M.gram.tolist(), gens, denom)
+    h, _ = hnf([[denom * (i == j) for j in range(n)] for i in range(n)] + gens)
     w = h[:n] * Fraction(1, denom)
-    new_gram_q = w @ G @ w.T
+    new_gram_q = w @ M.gram @ w.T
     if any(x.denominator != 1 for x in new_gram_q.flat):
         raise ValueError("glue does not generate an integral lattice")
     new_gram = intmat(new_gram_q)
@@ -163,32 +169,34 @@ def glue_data(M: IntegralLattice, N: IntegralLattice, over_basis) -> GlueData:
     """Glue group of the overlattice spanned by `over_basis` over M (+) N.
 
     `over_basis` rows express a basis of the overlattice in the coordinates
-    of the orthogonal sum.  Both projections of the glue group must be
-    injective (they are exactly when M and N are a primitive pair).
+    of the orthogonal sum, which must be even.  The glue group must be an
+    isotropic subgroup of its discriminant group, and both projections of
+    it injective (they are exactly when M and N are a primitive pair).
     """
     m, n = M.rank, N.rank
+    if not (is_even(M) and is_even(N)):
+        raise ValueError("M (+) N is odd; the discriminant quadratic form needs an even lattice")
     rows = [[Fraction(x) for x in row] for row in np.asarray(over_basis, dtype=object)]
     if any(len(r) != m + n for r in rows):
         raise ValueError("over-basis rows must have length rank(M) + rank(N)")
     # the closure runs on integer numerators over the common denominator den
     den = lcm(*(x.denominator for r in rows for x in r))
     gens = [tuple(x.numerator * (den // x.denominator) % den for x in r) for r in rows]
-    # close by cosets: g joins as group + k*g until k*g falls back into group
-    group = {(0,) * (m + n)}
+    # close by cosets: g joins as group + k*g until k*g falls back into group;
+    # the generators that enlarged the group generate it
+    group, kept = {(0,) * (m + n)}, []
     for g in gens:
         coset, added = g, []
         while coset not in group:
-            added += [tuple((a + b) % den for a, b in zip(x, coset)) for x in group]
+            added += [tuple([(a + b) % den for a, b in zip(x, coset)]) for x in group]
             coset = tuple((a + b) % den for a, b in zip(coset, g))
+        if added:
+            kept.append(g)
         group.update(added)
     elements = sorted(group)
     if len({e[:m] for e in elements}) != len(group) or len({e[m:] for e in elements}) != len(group):
         raise ValueError("glue projections are not injective; not a primitive pair")
-    # q_M (+) q_N on the numerators, summed over the nonzero Gram entries
-    gram = direct_sum(M, N).gram.tolist()
-    terms = [(i, j, x) for i, row in enumerate(gram) for j, x in enumerate(row) if x]
-    if any(sum(x * e[i] * e[j] for i, j, x in terms) % (2 * den * den) for e in elements):
-        raise ValueError("glue group is not isotropic for q_M (+) q_N")
+    _check_glue(direct_sum(M, N).gram.tolist(), kept, den)
     return GlueData(den, tuple((e[:m], e[m:]) for e in elements))
 
 
@@ -197,27 +205,8 @@ def identity_map(v):
 
 
 def negation_map(v):
-    """-v mod 1 as Fractions; each distinct value of v is normalised once."""
-    neg, out = {}, []
-    for x in v:
-        r = x.as_integer_ratio()
-        y = neg.get(r)
-        if y is None:
-            n, d = r
-            y = neg[r] = Fraction(-n % d, d)
-        out.append(y)
-    return tuple(out)
-
-
-def _numerators_over(v, den):
-    """Numerators of v mod 1 over den, or None if den is not a common denominator."""
-    out = []
-    for x in v:
-        a, d = x.as_integer_ratio()
-        if den % d:
-            return None
-        out.append(a * den // d % den)
-    return tuple(out)
+    """-v on glue numerators (read mod den); it used to return -v mod 1 as Fractions."""
+    return tuple([-x for x in v])
 
 
 def extends_to(phibar, psibar, g: GlueData) -> bool:
@@ -225,13 +214,15 @@ def extends_to(phibar, psibar, g: GlueData) -> bool:
 
     True iff the induced map on l(M) preserves S1, the one on l(N) preserves
     S2, and gamma intertwines them: gamma(phibar(s1)) = psibar(gamma(s1)).
-    The maps take and return tuples of rationals (Fraction or int); every
-    glue element is checked, on the numerators of the images over g.den.
+    Each map takes the int numerator tuple of a glue coordinate over g.den
+    and returns an int tuple, read mod g.den; it used to act on Fraction
+    tuples mod 1.  Every glue element is checked, so the maps need not be
+    homomorphisms.
     """
-    index = dict(g.numerators)
-    for s1, s2 in g.elements:
-        t2 = index.get(_numerators_over(phibar(s1), g.den))
-        if t2 is None or t2 != _numerators_over(psibar(s2), g.den):
+    den, index = g.den, dict(g.numerators)
+    for a, b in g.numerators:
+        t2 = index.get(tuple([x % den for x in phibar(a)]))
+        if t2 is None or t2 != tuple([x % den for x in psibar(b)]):
             return False
     return True
 

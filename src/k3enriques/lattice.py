@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import prod
+from math import isqrt, prod
 
 from .arith import _pollard_brent, is_odd_prime
 from .intmat import det, intmat, snf
@@ -159,15 +159,22 @@ def signature(L: IntegralLattice) -> tuple[int, int]:
 
 _TRIAL_LIMIT = 1000
 
+# the primes below _TRIAL_LIMIT, by the sieve of Eratosthenes
+_SMALL_PRIMES = sorted(
+    set(range(2, _TRIAL_LIMIT)).difference(
+        *(range(p * p, _TRIAL_LIMIT, p) for p in range(2, isqrt(_TRIAL_LIMIT) + 1))
+    )
+)
+
 
 def _prime_powers(n: int) -> list[int]:
     """Prime-power factorization of n as a list [p^e, ...], p ascending.
 
-    Trial division by p < 1000, then Pollard-Brent on the cofactor, each
-    piece of which is tested by arith.is_odd_prime.
+    Trial division by the primes below 1000, then Pollard-Brent on the
+    cofactor, each piece of which is tested by arith.is_odd_prime.
     """
     out = []
-    for p in range(2, _TRIAL_LIMIT):
+    for p in _SMALL_PRIMES:
         if p * p > n:
             break
         if n % p == 0:

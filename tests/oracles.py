@@ -192,8 +192,16 @@ def fraction_glue(m, over_basis):
     return tuple((e[:m], e[m:]) for e in sorted(seen))
 
 
-def fraction_negation_map(v):
-    return tuple(-x % 1 for x in v)
+def fraction_glue_isotropic(gram, over_basis):
+    """Whether every element x of the glue group that the rows of over_basis
+    generate mod 1 lies in the dual lattice (G x integral) and has
+    q(x) = x.G.x in 2Z: checked element by element, in Fractions."""
+    g = [[Fraction(int(a)) for a in row] for row in gram]
+    for _, x in fraction_glue(0, over_basis):  # rank(M) = 0: x is the whole vector
+        gx = [sum(a * b for a, b in zip(row, x)) for row in g]
+        if any(y.denominator != 1 for y in gx) or sum(a * b for a, b in zip(x, gx)) % 2:
+            return False
+    return True
 
 
 def fraction_extends_to(phibar, psibar, elements):

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3enriques.embeddings import (
@@ -33,7 +34,7 @@ from k3enriques.lattice import (
 from oracles import (
     fraction_extends_to,
     fraction_glue,
-    fraction_negation_map,
+    fraction_glue_isotropic,
     random_int_matrix,
 )
 
@@ -179,6 +180,17 @@ def test_glue_data_rejects_non_isotropic_glue():
         glue_data(diag_lattice([4]), diag_lattice([8]), [[F(1, 2), F(1, 2)], [1, 0], [0, 1]])
 
 
+def test_glue_data_rejects_glue_outside_dual():
+    # l(diag(4)) is Z/4, and (1/8, 1/8) pairs to 1/2 with e1
+    with pytest.raises(ValueError, match="not in the dual lattice"):
+        glue_data(diag_lattice([4]), diag_lattice([-4]), [[F(1, 8), F(1, 8)], [1, 0], [0, 1]])
+
+
+def test_glue_data_rejects_odd_lattice():
+    with pytest.raises(ValueError, match="odd"):
+        glue_data(diag_lattice([1]), diag_lattice([-4]), [[1, 0], [0, 1]])
+
+
 def test_extends_to_two_torsion():
     # index-2 glue: 2-torsion, where -id acts as id
     M = diag_lattice([4, -4])
@@ -210,29 +222,38 @@ def test_extends_to_composition():
             assert extends_to(_compose(f1, f2), _compose(p1, p2), g)
 
 
-def _shift(v):
-    return tuple(x + 1 for x in v)
+def _shift(den):
+    # + den: the identity mod den
+    return lambda v: tuple(x + den for x in v)
 
 
-def _third(v):
-    return (F(1, 3),) + tuple(v[1:])
+def _negate_upper(den):
+    # not a homomorphism: it moves only numerators with 2x >= den, so only the
+    # glue elements late in sorted order can expose it
+    return lambda v: tuple(-x if 2 * x >= den else x for x in v)
 
 
-def _negate_upper(v):
-    # not a homomorphism: it moves only entries >= 1/2, so only the glue
-    # elements late in sorted order can expose it
-    return tuple(-x % 1 if x >= F(1, 2) else x for x in v)
+def _third(den):
+    # a non-integer numerator is no glue coordinate
+    return lambda v: (F(1, 3),) + tuple(v[1:])
 
 
+# each entry builds a numerator map for the glue denominator den
 GLUE_MAPS = [
-    identity_map,
-    negation_map,
-    _compose(negation_map, negation_map),
+    lambda den: identity_map,
+    lambda den: negation_map,
+    lambda den: _compose(negation_map, negation_map),
     _shift,
-    _compose(_shift, negation_map),
-    _third,
+    lambda den: _compose(_shift(den), negation_map),
     _negate_upper,
+    _third,
 ]
+
+
+def _over_den(f, den):
+    """The numerator map f conjugated by division by den: a map of Fraction
+    tuples mod 1, as the Fraction oracle takes them."""
+    return lambda s: tuple(F(x) / den for x in f(tuple(int(y * den) for y in s)))
 
 
 @st.composite
@@ -250,9 +271,34 @@ def diagonal_glue(draw):
     return M, N, overlattice(direct_sum(M, N), gens).basis_in_base
 
 
+def _units(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def skewed_glue(draw):
+    """diag(2k_i) (+) diag(2l_i), glued by (e_i/t_i, y_i) with
+    y_i = (a_i e_i + sum_{j > i} c_ij e_j)/t_i and gcd(a_i, t_i) = 1.
+    Both projections are injective; the glue may leave the dual lattice or
+    fail to be isotropic, also on a pair of generators only."""
+    r = draw(st.integers(1, 2))
+    gens = []
+    for i in range(r):
+        t = draw(st.integers(1, 4))
+        g = [F(0)] * (2 * r)
+        g[i] = F(1, t)
+        g[r + i] = F(draw(st.sampled_from([a for a in range(1, t + 1) if gcd(a, t) == 1])), t)
+        for j in range(i + 1, r):
+            g[r + j] = F(draw(st.integers(0, t - 1)), t)
+        gens.append(g)
+    ks = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+    ls = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=r, max_size=r))
+    return diag_lattice([2 * k for k in ks]), diag_lattice([2 * l for l in ls]), gens + _units(2 * r)
+
+
 @settings(max_examples=80, deadline=None)
 @given(diagonal_glue(), st.sampled_from(GLUE_MAPS), st.sampled_from(GLUE_MAPS))
-def test_glue_matches_fraction_oracle(glue, phibar, psibar):
+def test_glue_matches_fraction_oracle(glue, phi_at, psi_at):
     M, N, over = glue
     g = glue_data(M, N, over)
     elements = fraction_glue(M.rank, over)
@@ -263,35 +309,39 @@ def test_glue_matches_fraction_oracle(glue, phibar, psibar):
     assert list(g.gamma.items()) == list(elements)
     assert g.s1_group == frozenset(s1 for s1, _ in elements)
     assert g.s2_group == frozenset(s2 for _, s2 in elements)
-    assert extends_to(phibar, psibar, g) == fraction_extends_to(phibar, psibar, elements)
+    phibar, psibar = phi_at(g.den), psi_at(g.den)
+    assert extends_to(phibar, psibar, g) == fraction_extends_to(
+        _over_den(phibar, g.den), _over_den(psibar, g.den), elements
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(diagonal_glue(), skewed_glue()))
+# q = 0 on the generator, but it is outside the dual lattice
+@example((diag_lattice([2]), diag_lattice([-2]), [[F(1, 4), F(1, 4)]] + _units(2)))
+# q = 0 mod 2 on each generator, but the two pair to 1/2
+@example(
+    (
+        diag_lattice([2, 6]),
+        diag_lattice([4, 2]),
+        [[F(1, 2), 0, F(1, 2), F(1, 2)], [0, F(1, 2), 0, F(1, 2)]] + _units(4),
+    )
+)
+def test_glue_generator_check_matches_all_elements(glue):
+    M, N, over = glue
+    if fraction_glue_isotropic(direct_sum(M, N).gram, over):
+        glue_data(M, N, over)
+    else:
+        with pytest.raises(ValueError, match="dual lattice|not isotropic"):
+            glue_data(M, N, over)
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.one_of(st.integers(-50, 50), st.fractions(-9, 9, max_denominator=60)), max_size=6)
-)
-def test_negation_map_is_minus_x_mod_one(v):
-    out = negation_map(tuple(v))
-    assert len(out) == len(v)
-    assert all(type(x) is F and 0 <= x < 1 for x in out)
-    assert all(x == y for x, y in zip(out, fraction_negation_map(v)))
-
-
-@pytest.mark.parametrize(
-    "v, expected",
-    [
-        # one value in several forms, sharing the per-call normalisation
-        ((1, F(2, 2), True, 0, False), (F(0),) * 5),
-        ((-3, F(1, 2)), (F(0), F(1, 2))),
-        ((F(1, 2), F(-1, 2), F(3, 2), F(2, 4)), (F(1, 2),) * 4),
-        ((F(-7, 3), 2, F(7, 3)), (F(1, 3), F(0), F(2, 3))),
-    ],
-    ids=["one-as-int-fraction-bool", "int-next-to-half", "halves", "thirds"],
-)
-def test_negation_map_mixed_forms(v, expected):
-    out = negation_map(v)
-    assert out == expected
-    assert all(type(x) is F and 0 <= x < 1 for x in out)
+@given(st.integers(1, 60), st.lists(st.integers(-200, 200), max_size=6))
+def test_negation_map_is_minus_x_mod_den(den, a):
+    out = negation_map(tuple(a))
+    assert all(type(y) is int for y in out)
+    assert [y % den for y in out] == [-x % den for x in a]
 
 
 def test_index_discriminant_identity():

@@ -123,3 +123,21 @@ def test_gamma2_glue_extension_hashes_no_fraction(monkeypatch):
     assert not hashes
     # the counter sees hashing: the gamma view is a dict keyed by Fraction tuples
     assert len(g.gamma) == 1024 and hashes
+
+
+def test_gamma2_glue_extension_builds_no_fraction(monkeypatch):
+    kept = []
+    computed = checker.glue_data
+    monkeypatch.setattr(checker, "glue_data", lambda *args: kept.append(computed(*args)) or kept[-1])
+    checker.gamma2_in_k3()
+    (g,) = kept
+    built = []
+    fraction_new = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", staticmethod(lambda *a, **k: built.append(1) or fraction_new(*a, **k))
+    )
+    assert extends_to(identity_map, identity_map, g)
+    assert extends_to(identity_map, negation_map, g)
+    assert not built and "elements" not in vars(g)
+    # the counter sees construction: the elements view is built of Fractions
+    assert len(g.elements) == 1024 and built
