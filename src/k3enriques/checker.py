@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-import pickle
+import marshal
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import chain
 from math import isqrt
 
 from .arith import _arth, _find_d, _legendre, is_odd_prime, verify_norm_bound
@@ -30,12 +30,12 @@ from .intmat import rat_inv, snf
 from .lattice import (
     IntegralLattice,
     _prime_powers,
+    _signature_det,
     builtin,
     direct_sum,
     discriminant,
     discriminant_group,
     is_even,
-    signature,
     twist,
 )
 
@@ -106,24 +106,42 @@ class CaseCertificate:
     passed: bool
 
     def to_doc(self) -> dict:
-        return json.loads(
-            json.dumps(
+        """The document json.loads(json.dumps(...)) would give, built directly
+        in fresh lists, so changing it never changes this (cached) certificate.
+        Like json.dumps, it raises ValueError on an int too long to print."""
+        rows = [[self.sigma, self.d]]  # every list of ints in the document
+        doc = {
+            "sigma": self.sigma,
+            "d": self.d,
+            "ambient_gram": _lists(self.ambient_gram, rows),
+            "embedding_basis": _lists(self.embedding_basis, rows),
+            "complement_basis": _lists(self.complement_basis, rows),
+            "complement_gram": _lists(self.complement_gram, rows),
+            "checks": [
                 {
-                    "sigma": self.sigma,
-                    "d": self.d,
-                    "ambient_gram": self.ambient_gram,
-                    "embedding_basis": self.embedding_basis,
-                    "complement_basis": self.complement_basis,
-                    "complement_gram": self.complement_gram,
-                    "checks": [
-                        {"name": c.name, "passed": c.passed, "witness": c.witness}
-                        for c in self.checks
-                    ],
-                    "notes": list(self.notes),
-                    "passed": self.passed,
+                    "name": c.name,
+                    "passed": c.passed,
+                    "witness": {
+                        k: _lists(v, rows) if type(v) in (tuple, list) else v
+                        for k, v in c.witness.items()
+                    },
                 }
-            )
-        )
+                for c in self.checks
+            ],
+            "notes": list(self.notes),
+            "passed": self.passed,
+        }
+        rows.append([v for c in self.checks for v in c.witness.values() if type(v) is int])
+        str(max(map(abs, chain.from_iterable(rows))))  # raises where json.dumps would
+        return doc
+
+
+def _lists(x, rows: list) -> list:
+    """The vector or matrix of ints x as fresh lists, each list of ints also put in rows."""
+    vector = not x or type(x[0]) not in (tuple, list)
+    out = list(x) if vector else [list(r) for r in x]
+    rows.extend([out] if vector else out)
+    return out
 
 
 def _mat_list(m) -> tuple:
@@ -137,10 +155,8 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
     emb_gram = emb.gram()
     comp_lat = comp.sublattice()
 
-    if _EMBED_IS_M[sigma]:
-        m_lat, n_lat = emb.sublattice(), comp_lat
-    else:
-        m_lat, n_lat = comp_lat, emb.sublattice()
+    emb_lat = IntegralLattice(emb_gram)
+    m_lat, n_lat = (emb_lat, comp_lat) if _EMBED_IS_M[sigma] else (comp_lat, emb_lat)
 
     checks = []
 
@@ -185,7 +201,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
         )
     )
 
-    n_sig = signature(n_lat)
+    n_sig, d_n = _signature_det(n_lat)
     checks.append(
         Check(
             "n_negative_definite",
@@ -194,7 +210,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
         )
     )
 
-    m_sig = signature(m_lat)
+    m_sig, m_det = _signature_det(m_lat)
     checks.append(
         Check(
             "m_side_signature",
@@ -242,7 +258,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
         )
     )
 
-    dt = int(discriminant(direct_sum(builtin("U"), m_lat)))
+    dt = -m_det  # the discriminant of U + M, as det U = -1
     dt_expected = 4 ** _DT_POWER[sigma] * d
     checks.append(
         Check(
@@ -262,7 +278,6 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
     )
 
     # index of N + Gamma(2) inside the rank-22 Neron-Severi overlattice
-    d_n = int(discriminant(n_lat))
     idx_sq_num = d_n * 1024
     idx_ok = (
         dns != 0
@@ -321,12 +336,14 @@ _DOC_FIELDS = tuple(f.name for f in fields(CaseCertificate))
 
 
 def _same(a, b) -> bool:
-    """JSON equality that tells 1, 1.0 and true apart: equal pickles settle it
-    fast, else a type-exact tree walk decides (pickles see key order).  One
-    side is a rebuilt document, so a value too deep to pickle differs."""
+    """JSON equality that tells 1, 1.0 and true apart, and list from tuple:
+    equal marshal format 2 bytes (type and content, no object references, so
+    blind to shared or interned objects) settle it fast, else a type-exact
+    tree walk decides (the bytes see key order).  One side is a rebuilt
+    document, so a value marshal refuses (a cycle, too deep, not JSON) differs."""
     try:
-        return pickle.dumps(a) == pickle.dumps(b) or _same_tree(a, b)
-    except RecursionError:
+        return marshal.dumps(a, 2) == marshal.dumps(b, 2) or _same_tree(a, b)
+    except (ValueError, RecursionError):
         return False
 
 
@@ -365,7 +382,7 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
         return False, [error]
     try:
         fresh = _compute_case(doc["sigma"], doc["d"]).to_doc()
-    except ValueError as exc:  # to_doc cannot print a d of over 4300 digits
+    except ValueError as exc:  # no JSON text for an entry of over 4300 digits, e.g. 1024 d
         return False, [f"recomputation failed: {exc}"]
     if _same(doc, fresh) and fresh["passed"]:
         return True, []
@@ -410,10 +427,10 @@ def gamma2_in_k3() -> GlueReport:
         ),
         Check("complement_rank", comp.rank == 12, {"rank": comp.rank}),
     ]
-    sig = signature(comp_lat)
+    sig, dc = _signature_det(comp_lat)
     checks.append(Check("complement_signature", sig == (2, 10), {"signature": list(sig)}))
     model = direct_sum(direct_sum(builtin("U"), twist(builtin("U"), 2)), twist(builtin("E8"), 2))
-    dc, dm = int(discriminant(comp_lat)), int(discriminant(model))
+    dm = int(discriminant(model))
     checks.append(Check("complement_discriminant", dc == dm, {"computed": dc, "model": dm}))
     divs = [int(x) for x in discriminant_group(comp_lat).divisors]
     checks.append(Check("complement_divisors", divs == [2] * 10, {"divisors": divs}))

@@ -12,13 +12,7 @@ from functools import cache
 
 from .checker import build_case, decide_enriques, survey, verify_certificate
 from .enumeration import short_vectors
-from .lattice import (
-    discriminant,
-    discriminant_group,
-    is_even,
-    load_lattice,
-    signature,
-)
+from .lattice import _signature_det, discriminant_group, is_even, load_lattice
 
 
 @cache
@@ -62,11 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_lattice(args) -> int:
     L = load_lattice(args.file)
     if args.lattice_command == "info":
-        plus, minus = signature(L)
+        (plus, minus), det = _signature_det(L)
         dg = discriminant_group(L)
         print(f"label: {L.label or '-'}")
         print(f"rank: {L.rank}")
-        print(f"det: {discriminant(L)}")
+        print(f"det: {det}")
         print(f"signature: ({plus},{minus})")
         print(f"even: {is_even(L)}")
         print(f"divisors: {list(dg.divisors)}")

@@ -147,14 +147,20 @@ def _ldl(gram) -> tuple[list[int], list[list[int]]]:
     return d, rows
 
 
-def signature(L: IntegralLattice) -> tuple[int, int]:
-    """Sylvester signature (plus, minus): one sign per pivot d[k+1] / d[k]
-    of the integer elimination _ldl."""
+def _signature_det(L: IntegralLattice) -> tuple[tuple[int, int], int]:
+    """Signature and determinant of L from one _ldl: one sign per pivot
+    d[k+1] / d[k], and the last leading minor is det G, since the swaps and
+    hyperbolic steps of _ldl are unimodular congruences."""
     d, _ = _ldl(L.gram)
     if d[-1] == 0:
         raise ValueError("degenerate form has no signature")
     plus = sum(p * q > 0 for p, q in zip(d, d[1:]))
-    return plus, L.rank - plus
+    return (plus, L.rank - plus), d[-1]
+
+
+def signature(L: IntegralLattice) -> tuple[int, int]:
+    """Sylvester signature (plus, minus), from the integer elimination _ldl."""
+    return _signature_det(L)[0]
 
 
 _TRIAL_LIMIT = 1000

@@ -2,14 +2,15 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3enriques import arith, checker
+from k3enriques import arith, checker, embeddings, enumeration, intmat, lattice
 from k3enriques.checker import (
     build_case,
     decide_enriques,
@@ -407,6 +408,76 @@ def test_verify_refuses_non_object(keys):
     # the list and the string hold every field name, so `in` finds them all
     doc = keys(build_case(3, 5).to_doc())
     assert verify_certificate(doc) == (False, ["certificate is not a JSON object"])
+
+
+def _containers(node):
+    # every list and dict object in a JSON tree
+    if isinstance(node, (dict, list)):
+        yield node
+        for v in node.values() if isinstance(node, dict) else node:
+            yield from _containers(v)
+
+
+_PINNED = [(s, d) for s in range(2, 6) for d in range(1, 6)]
+
+
+def test_to_doc_is_its_json_round_trip(monkeypatch):
+    def no_tree_walk(a, b):
+        raise AssertionError("_same left its fast path")
+
+    monkeypatch.setattr(checker, "_same_tree", no_tree_walk)
+    for sigma, d in _PINNED:
+        doc = build_case(sigma, d).to_doc()
+        loaded = json.loads(json.dumps(doc))
+        assert doc == loaded and checker._same(doc, loaded)
+        assert verify_certificate(loaded) == (True, [])
+
+
+def test_to_doc_shares_nothing_with_the_cached_certificate():
+    for sigma, d in _PINNED:
+        text = json.dumps(build_case(sigma, d).to_doc())
+        for node in list(_containers(build_case(sigma, d).to_doc())):
+            node.clear()
+        assert json.dumps(build_case(sigma, d).to_doc()) == text
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 4, 5])
+def test_to_doc_refuses_ints_json_cannot_print(sigma):
+    # the largest entry is d_n = -+1024 d: 4300 digits at d = 10^4296, the
+    # int-to-str limit, and 4301 at d = 10^4297
+    json.dumps(build_case(sigma, 10**4296).to_doc())
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        build_case(sigma, 10**4297).to_doc()
+
+
+def test_same_is_type_exact_and_never_raises():
+    for a, b in permutations([1, 1.0, True], 2):
+        assert not checker._same({"x": [a]}, {"x": [b]})
+    assert not checker._same([1], (1,))
+    cyclic = []
+    cyclic.append(cyclic)
+    assert checker._same(cyclic, [[]]) is False
+    assert checker._same([Fraction(1)], [1]) is False
+
+
+def test_compute_case_runs_each_kernel_once_per_need(monkeypatch):
+    # _ldl: N and M each once for signature and determinant, N once more in
+    # count_norm; det: the two independence tests and the degeneracy warning
+    # of the embedding and its complement; snf: the embedding_primitive
+    # witness and N's divisors
+    calls = Counter()
+
+    def counted(name, f):
+        return lambda *args: calls.update([name]) or f(*args)
+
+    for module in (intmat, lattice, embeddings, enumeration, checker):
+        for name in ("_ldl", "det", "snf"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for sigma in (2, 3, 4, 5):
+        calls.clear()
+        assert checker._compute_case(sigma, 999999937).passed
+        assert calls == {"_ldl": 3, "det": 3, "snf": 2}
 
 
 def _digest(obj) -> str:

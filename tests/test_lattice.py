@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from k3enriques.intmat import det
 from k3enriques.lattice import (
     IntegralLattice,
+    _ldl,
     _prime_powers,
+    _signature_det,
     builtin,
     diag_lattice,
     direct_sum,
@@ -121,6 +123,40 @@ def _signature_or_error(f, gram):
 def test_signature_matches_fraction_oracle(a):
     got = _signature_or_error(lambda g: signature(IntegralLattice(g)), a)
     assert got == _signature_or_error(fraction_signature, a)
+
+
+@st.composite
+def _forms_with_hyperbolic_blocks(draw):
+    # sparse symmetric entries with zero diagonals, a few U blocks laid over
+    # them, and maybe one row and column repeated, which makes the form singular
+    n = draw(st.integers(0, 8))
+    small = st.one_of(st.just(0), st.integers(-4, 4))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = draw(small)
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = draw(small)
+    for k in range(draw(st.integers(0, n // 2))):
+        a[2 * k][2 * k] = a[2 * k + 1][2 * k + 1] = 0
+        a[2 * k][2 * k + 1] = a[2 * k + 1][2 * k] = 1
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        for k in range(n):
+            a[i][k] = a[j][k]
+        for k in range(n):
+            a[k][i] = a[k][j]
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forms_with_hyperbolic_blocks())
+def test_ldl_last_minor_is_det(a):
+    # the swaps and hyperbolic steps of _ldl are unimodular congruences
+    L = IntegralLattice(a)
+    d, _ = _ldl(L.gram)
+    assert d[-1] == det(a)
+    if d[-1]:
+        assert _signature_det(L) == (signature(L), discriminant(L))
 
 
 def test_is_even():
