@@ -29,12 +29,12 @@ from .enumeration import count_norm
 from .intmat import rat_inv, snf
 from .lattice import (
     IntegralLattice,
+    _divisors,
     _prime_powers,
     _signature_det,
     builtin,
     direct_sum,
     discriminant,
-    discriminant_group,
     is_even,
     twist,
 )
@@ -240,7 +240,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
         )
     )
 
-    n_divs = [int(x) for x in snf(n_lat.gram)[0].diagonal() if x > 1]
+    n_divs = _divisors(n_lat)
     formula = _N_DIVISOR_FORMULA[sigma](d)
     pp = {x: _prime_powers(x) for x in {*n_divs, *formula}}
     n_pp = sorted(q for x in n_divs for q in pp[x])
@@ -417,13 +417,15 @@ def gamma2_in_k3() -> GlueReport:
     comp = orthogonal_complement(emb)
     comp_lat = comp.sublattice()
     gamma2 = _gamma2()
+    emb_gram = emb.gram()
+    emb_lat = IntegralLattice(emb_gram)
 
     checks = [
         Check("embedding_primitive", is_primitive(emb), {}),
         Check(
             "embedded_gram_is_gamma2",
-            bool((emb.gram() == gamma2.gram).all()),
-            {"gram": _mat_list(emb.gram())},
+            bool((emb_gram == gamma2.gram).all()),
+            {"gram": _mat_list(emb_gram)},
         ),
         Check("complement_rank", comp.rank == 12, {"rank": comp.rank}),
     ]
@@ -432,17 +434,17 @@ def gamma2_in_k3() -> GlueReport:
     model = direct_sum(direct_sum(builtin("U"), twist(builtin("U"), 2)), twist(builtin("E8"), 2))
     dm = int(discriminant(model))
     checks.append(Check("complement_discriminant", dc == dm, {"computed": dc, "model": dm}))
-    divs = [int(x) for x in discriminant_group(comp_lat).divisors]
+    divs = _divisors(comp_lat)
     checks.append(Check("complement_divisors", divs == [2] * 10, {"divisors": divs}))
     checks.append(Check("complement_even", is_even(comp_lat), {}))
 
     # glue of the pair inside the ambient rank-22 lattice
-    g = glue_data(emb.sublattice(), comp_lat, rat_inv([*emb.basis, *comp.basis]))
+    g = glue_data(emb_lat, comp_lat, rat_inv([*emb.basis, *comp.basis]))
     checks.append(Check("glue_order", g.order == 2**10, {"order": g.order}))
     checks.append(
         Check(
             "glue_projection_bijective",
-            g.order == abs(discriminant(emb.sublattice())),
+            g.order == abs(discriminant(emb_lat)),
             {"glue_order": g.order, "l_gamma2_order": 2**10},
         )
     )

@@ -12,7 +12,7 @@ from functools import cache
 
 from .checker import build_case, decide_enriques, survey, verify_certificate
 from .enumeration import short_vectors
-from .lattice import _signature_det, discriminant_group, is_even, load_lattice
+from .lattice import _divisors, _signature_det, is_even, load_lattice
 
 
 @cache
@@ -57,13 +57,12 @@ def _cmd_lattice(args) -> int:
     L = load_lattice(args.file)
     if args.lattice_command == "info":
         (plus, minus), det = _signature_det(L)
-        dg = discriminant_group(L)
         print(f"label: {L.label or '-'}")
         print(f"rank: {L.rank}")
         print(f"det: {det}")
         print(f"signature: ({plus},{minus})")
         print(f"even: {is_even(L)}")
-        print(f"divisors: {list(dg.divisors)}")
+        print(f"divisors: {_divisors(L)}")
         return 0
     report = short_vectors(L, abs(args.norm))
     hits = [v for v, nm in report.vectors if nm == args.norm]

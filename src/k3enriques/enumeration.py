@@ -4,7 +4,9 @@ Fincke-Pohst depth-first enumeration over the fraction-free integer LDL^T of
 lattice._ldl.  Everything runs on Python ints: the budget of each level is an
 integer multiple of the remaining norm and the coordinate ranges come from
 integer square roots, so the reported vector lists are complete with no
-rounding caveats.
+rounding caveats.  The search walks half of the ball: it finds one vector of
+each pair v, -v (the one whose last nonzero coordinate is positive), and the
+report lists the other by negation.
 """
 from __future__ import annotations
 
@@ -46,27 +48,35 @@ def short_vectors(L: IntegralLattice, bound: int) -> ShortVectorReport:
     found = []
     x = [0] * n
 
-    def rec(k, t):
+    def rec(k, t, top):
         # t = d[k+1] * (bound - sum of the squares fixed above k); the k-th
         # square is y^2 / (d[k] d[k+1]) with y = r[k] . x = d[k+1] x_k + c,
-        # and c = r[k] . x while x_k is still 0
-        c = sum(map(mul, r[k], x))
+        # and c = r[k] . x while x_k is still 0.  While every coordinate above
+        # k is 0 (top), c = 0 and the range of x_k is symmetric; x -> -x maps
+        # the subtree of x_k onto that of -x_k, so only x_k >= 0 is searched,
+        # and the flag stays set below x_k = 0.
+        c = 0 if top else sum(map(mul, r[k], x))
         s = isqrt(d[k] * t)
-        for xk in range(-((s + c) // d[k + 1]), (s - c) // d[k + 1] + 1):
+        lo = 0 if top else -((s + c) // d[k + 1])
+        for xk in range(lo, (s - c) // d[k + 1] + 1):
             y = d[k + 1] * xk + c
             rest = (d[k] * t - y * y) // d[k + 1]
             x[k] = xk
             if k:
-                rec(k - 1, rest)
-            elif any(x):
+                rec(k - 1, rest, top and not xk)
+            elif xk or not top:  # x = 0 only on the top path at x_0 = 0
                 found.append((tuple(x), sign * (bound - rest)))
         x[k] = 0
 
-    rec(n - 1, d[n] * bound)
+    rec(n - 1, d[n] * bound, True)
 
-    # v and -v are both found; keep the positive-leading one of each pair
+    # one vector of each pair was found, with its last nonzero entry positive;
+    # list the one with positive leading entry first, then its negative
+    reps = sorted(
+        (v if next(e for e in v if e) > 0 else tuple(-e for e in v), norm) for v, norm in found
+    )
     ordered = []
-    for v, norm in sorted(f for f in found if next(e for e in f[0] if e) > 0):
+    for v, norm in reps:
         ordered += [(v, norm), (tuple(-e for e in v), norm)]
     counts: dict = {}
     for _, norm in ordered:

@@ -201,8 +201,12 @@ def rat_inv(m) -> np.ndarray:
         a[k], a[piv] = a[piv], a[k]
         p = a[k][k]
         for i in range(n):
-            if i != k:
-                f = a[i][k]
+            if i == k:
+                continue
+            f = a[i][k]
+            if f:
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+            elif p != prev:  # f = 0: the update only rescales the row by p / prev
+                a[i] = [p * x // prev for x in a[i]]
         prev = p
     return _array([[Fraction(x, prev) for x in row[n:]] for row in a], n)

@@ -227,6 +227,15 @@ class DiscriminantGroup:
         return prod(self.divisors, start=1)
 
 
+def _divisors(L: IntegralLattice) -> list[int]:
+    """The divisors of L*/L, ascending: the SNF diagonal entries > 1.
+
+    The zeros of a degenerate form are dropped as well, so callers test
+    nondegeneracy first (discriminant_group raises instead).
+    """
+    return [int(x) for x in snf(L.gram)[0].diagonal() if x > 1]
+
+
 def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:
     """Elementary divisors and generators of L*/L, with b and q values.
 

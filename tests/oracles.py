@@ -5,13 +5,19 @@ expansion, invariant factors from gcds of minors, Hermite forms by plain
 column-at-a-time reduction, signatures by Fraction diagonalization, short
 vectors by exhaustive box enumeration, inverses by Gauss-Jordan in
 Fractions, glue groups by closure in Fractions mod 1, and primality and
-factorization by trial division.
+factorization by trial division.  The one exception is
+full_ball_short_vectors: it keeps the whole-ball search that short_vectors
+ran before it searched half the ball, so that whole reports can be compared.
 """
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt
+from operator import mul
 
 import numpy as np
+
+from k3enriques.enumeration import ShortVectorReport
+from k3enriques.lattice import _ldl
 
 
 def trial_is_prime(n):
@@ -237,6 +243,52 @@ def box_short_vectors(gram, bound):
         if norm <= bound:
             out.append((x, sign * norm))
     return out
+
+
+def full_ball_short_vectors(L, bound):
+    """short_vectors as it was before the half-ball search: Fincke-Pohst over
+    the whole ball, which finds v and -v separately and keeps one of each."""
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    n = L.rank
+    if n == 0:
+        return ShortVectorReport(bound, (), None, {})
+    # a definite form has the sign of its diagonal
+    sign = 1 if L.gram[0, 0] > 0 else -1
+    d, r = _ldl(sign * L.gram)
+    # all leading minors positive: definite, and _ldl kept the caller's basis
+    if min(d) <= 0:
+        raise ValueError("short-vector enumeration requires a definite lattice")
+    found = []
+    x = [0] * n
+
+    def rec(k, t):
+        # t = d[k+1] * (bound - sum of the squares fixed above k); the k-th
+        # square is y^2 / (d[k] d[k+1]) with y = r[k] . x = d[k+1] x_k + c,
+        # and c = r[k] . x while x_k is still 0
+        c = sum(map(mul, r[k], x))
+        s = isqrt(d[k] * t)
+        for xk in range(-((s + c) // d[k + 1]), (s - c) // d[k + 1] + 1):
+            y = d[k + 1] * xk + c
+            rest = (d[k] * t - y * y) // d[k + 1]
+            x[k] = xk
+            if k:
+                rec(k - 1, rest)
+            elif any(x):
+                found.append((tuple(x), sign * (bound - rest)))
+        x[k] = 0
+
+    rec(n - 1, d[n] * bound)
+
+    # v and -v are both found; keep the positive-leading one of each pair
+    ordered = []
+    for v, norm in sorted(f for f in found if next(e for e in f[0] if e) > 0):
+        ordered += [(v, norm), (tuple(-e for e in v), norm)]
+    counts: dict = {}
+    for _, norm in ordered:
+        counts[norm] = counts.get(norm, 0) + 1
+    min_norm = min((nm for _, nm in ordered), key=abs, default=None)
+    return ShortVectorReport(bound, tuple(ordered), min_norm, counts)
 
 
 def e8_root_count_euclidean():

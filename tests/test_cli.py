@@ -16,6 +16,42 @@ def test_lattice_info(capsys):
     assert "divisors: [2, 2, 2, 2, 2, 2, 2, 2, 2, 2]" in out
 
 
+# `lattice info` output as the discriminant_group-based command printed it
+INFO_OUTPUT = {
+    "U": "label: U\nrank: 2\ndet: -1\nsignature: (1,1)\neven: True\ndivisors: []\n",
+    "E8": "label: E8\nrank: 8\ndet: 1\nsignature: (0,8)\neven: True\ndivisors: []\n",
+    "E8_2": (
+        "label: E8(2)\nrank: 8\ndet: 256\nsignature: (0,8)\neven: True\n"
+        "divisors: [2, 2, 2, 2, 2, 2, 2, 2]\n"
+    ),
+    "Gamma": "label: Gamma\nrank: 10\ndet: -1\nsignature: (1,9)\neven: True\ndivisors: []\n",
+    "Gamma_2": (
+        "label: Gamma(2)\nrank: 10\ndet: -1024\nsignature: (1,9)\neven: True\n"
+        "divisors: [2, 2, 2, 2, 2, 2, 2, 2, 2, 2]\n"
+    ),
+    "LambdaK3": (
+        "label: LambdaK3\nrank: 22\ndet: -1\nsignature: (3,19)\neven: True\ndivisors: []\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFO_OUTPUT))
+def test_lattice_info_output_is_pinned(capsys, name):
+    assert main(["lattice", "info", str(fixture_path(name))]) == 0
+    assert capsys.readouterr() == (INFO_OUTPUT[name], "")
+
+
+def test_lattice_info_rank_zero_and_degenerate(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"rank": 0, "gram": []}))
+    assert main(["lattice", "info", str(path)]) == 0
+    want = "label: -\nrank: 0\ndet: 1\nsignature: (0,0)\neven: True\ndivisors: []\n"
+    assert capsys.readouterr() == (want, "")
+    path.write_text(json.dumps({"rank": 2, "gram": [2, 2, 2, 2]}))
+    assert main(["lattice", "info", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: degenerate form has no signature\n")
+
+
 def test_lattice_roots(capsys):
     assert main(["lattice", "roots", str(fixture_path("E8")), "--norm", "-2"]) == 0
     out = capsys.readouterr().out

@@ -1,16 +1,23 @@
 import random
 import time
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3enriques import enumeration
 from k3enriques.enumeration import count_norm, min_norm, short_vectors
 from k3enriques.intmat import det
 from k3enriques.lattice import IntegralLattice, builtin, diag_lattice, signature, twist
 
-from oracles import box_short_vectors, random_even_symmetric, random_unimodular
+from oracles import (
+    box_short_vectors,
+    full_ball_short_vectors,
+    random_even_symmetric,
+    random_unimodular,
+)
 
 
 def test_e8_roots():
@@ -114,3 +121,39 @@ def test_skewed_e8_roots_are_fast():
     t0 = time.perf_counter()
     assert count_norm(L, -2) == 240
     assert time.perf_counter() - t0 < 1.0
+
+
+def _random_definite(rng, n):
+    """B B^T for a random nonsingular B with entries in {-1, 0, 1}: small
+    norms, so bounds up to 8 reach many vectors."""
+    while True:
+        b = np.array([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)], dtype=object)
+        if det(b) != 0:
+            return b @ b.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32), st.integers(1, 6), st.booleans(), st.integers(0, 12), st.integers(1, 8)
+)
+def test_half_ball_matches_full_ball(seed, n, positive, steps, bound):
+    rng = random.Random(seed)
+    g = _random_definite(rng, n)
+    L = _skewed(IntegralLattice(g if positive else -g), random_unimodular(rng, n, steps))
+    # whole reports: vector order, norms, counts and min_norm
+    assert short_vectors(L, bound) == full_ball_short_vectors(L, bound)
+
+
+def test_half_ball_node_count(monkeypatch):
+    # one isqrt per search node; the full ball visits 250,798 = 2 * 125,403 - 8
+    # nodes here, as it mirrors every node but the 8 on the all-zero top path
+    nodes = [0]
+
+    def counting_isqrt(v):
+        nodes[0] += 1
+        return isqrt(v)
+
+    monkeypatch.setattr(enumeration, "isqrt", counting_isqrt)
+    L = _skewed(builtin("E8"), random_unimodular(random.Random(1), 8, 30))
+    assert count_norm(L, -2) == 240
+    assert nodes[0] == 125_403

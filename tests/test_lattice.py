@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from k3enriques.intmat import det
 from k3enriques.lattice import (
     IntegralLattice,
+    _divisors,
     _ldl,
     _prime_powers,
     _signature_det,
@@ -26,7 +27,12 @@ from k3enriques.lattice import (
     twist,
 )
 
-from oracles import fraction_signature, random_even_symmetric, random_unimodular
+from oracles import (
+    fraction_signature,
+    minors_invariant_factors,
+    random_even_symmetric,
+    random_unimodular,
+)
 
 
 def test_builtin_u():
@@ -228,6 +234,22 @@ def test_order_equals_det_random():
         dg = discriminant_group(IntegralLattice(g))
         assert dg.order == abs(d)
         done += 1
+
+
+def test_divisors_match_discriminant_group_and_minors():
+    rng = random.Random(31)
+    done = 0
+    while done < 40:
+        n = rng.randint(1, 4)
+        g = random_even_symmetric(rng, n, -4, 4)
+        if det(g) == 0:
+            continue
+        L = IntegralLattice(g)
+        want = [f for f in minors_invariant_factors(g.tolist()) if f > 1]
+        assert _divisors(L) == list(discriminant_group(L).divisors) == want
+        assert all(type(f) is int for f in _divisors(L))
+        done += 1
+    assert _divisors(IntegralLattice([])) == []
 
 
 def test_twist_scales_discriminant():
