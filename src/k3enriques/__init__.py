@@ -30,7 +30,7 @@ from .embeddings import (
     saturate,
 )
 from .enumeration import ShortVectorReport, count_norm, min_norm, short_vectors
-from .intmat import det, hnf, intmat, kernel_basis, snf
+from .intmat import Matrix, det, hnf, intmat, kernel_basis, snf
 from .lattice import (
     DiscriminantGroup,
     IntegralLattice,

@@ -144,10 +144,6 @@ def _lists(x, rows: list) -> list:
     return out
 
 
-def _mat_list(m) -> tuple:
-    return tuple(map(tuple, m.tolist()))
-
-
 def _compute_case(sigma: int, d: int) -> CaseCertificate:
     ambient = _gamma2()
     emb = LatticeEmbedding(ambient, _case_basis(sigma, d))
@@ -160,8 +156,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
 
     checks = []
 
-    s, _, _ = snf(emb.basis)
-    snf_divs = [int(s[i, i]) for i in range(emb.rank)]
+    snf_divs = list(snf(emb.basis)[0].diagonal())
     checks.append(
         Check(
             "embedding_primitive",
@@ -174,14 +169,14 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
     expected_diag = [lead] + [-4] * (emb.rank - 1)
     diag_ok = all(
         x == (expected_diag[i] if i == j else 0)
-        for i, row in enumerate(emb_gram.tolist())
+        for i, row in enumerate(emb_gram)
         for j, x in enumerate(row)
     )
     checks.append(
         Check(
             "embedded_gram_diagonal",
             diag_ok,
-            {"gram": _mat_list(emb_gram), "expected_diagonal": expected_diag},
+            {"gram": emb_gram.rows, "expected_diagonal": expected_diag},
         )
     )
 
@@ -219,9 +214,8 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
         )
     )
 
-    n_gram = n_lat.gram.tolist()
-    even_ok = all(x % 2 == 0 for row in n_gram for x in row)
-    diag4_ok = all(row[i] % 4 == 0 for i, row in enumerate(n_gram))
+    even_ok = all(x % 2 == 0 for x in n_lat.gram.flat)
+    diag4_ok = all(x % 4 == 0 for x in n_lat.gram.diagonal())
     checks.append(
         Check(
             "n_norms_in_4Z",
@@ -299,10 +293,10 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
     return CaseCertificate(
         sigma=sigma,
         d=d,
-        ambient_gram=_mat_list(ambient.gram),
-        embedding_basis=_mat_list(emb.basis),
-        complement_basis=_mat_list(comp.basis),
-        complement_gram=_mat_list(comp_lat.gram),
+        ambient_gram=ambient.gram.rows,
+        embedding_basis=emb.basis.rows,
+        complement_basis=comp.basis.rows,
+        complement_gram=comp_lat.gram.rows,
         checks=tuple(checks),
         notes=tuple(notes),
         passed=all(c.passed for c in checks),
@@ -424,15 +418,15 @@ def gamma2_in_k3() -> GlueReport:
         Check("embedding_primitive", is_primitive(emb), {}),
         Check(
             "embedded_gram_is_gamma2",
-            bool((emb_gram == gamma2.gram).all()),
-            {"gram": _mat_list(emb_gram)},
+            emb_gram == gamma2.gram,
+            {"gram": emb_gram.rows},
         ),
         Check("complement_rank", comp.rank == 12, {"rank": comp.rank}),
     ]
     sig, dc = _signature_det(comp_lat)
     checks.append(Check("complement_signature", sig == (2, 10), {"signature": list(sig)}))
     model = direct_sum(direct_sum(builtin("U"), twist(builtin("U"), 2)), twist(builtin("E8"), 2))
-    dm = int(discriminant(model))
+    dm = discriminant(model)
     checks.append(Check("complement_discriminant", dc == dm, {"computed": dc, "model": dm}))
     divs = _divisors(comp_lat)
     checks.append(Check("complement_divisors", divs == [2] * 10, {"divisors": divs}))

@@ -14,9 +14,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-import numpy as np
-
-from .intmat import det, hnf, intmat, kernel_basis, snf
+from .intmat import Matrix, det, hnf, intmat, kernel_basis, snf
 from .lattice import DiscriminantGroup, IntegralLattice, _prime_powers, direct_sum, is_even
 
 
@@ -36,9 +34,19 @@ class LatticeEmbedding:
     def rank(self) -> int:
         return self.basis.shape[0]
 
-    def gram(self) -> np.ndarray:
-        """Induced Gram matrix basis . ambient.gram . basis^T."""
-        return self.basis @ self.ambient.gram @ self.basis.T
+    @cached_property
+    def _basis_gram(self) -> Matrix:
+        """basis . ambient.gram; its transpose is ambient.gram . basis^T, as
+        the Gram matrix is symmetric.  Computed once: the basis is immutable."""
+        return self.basis @ self.ambient.gram
+
+    @cached_property
+    def _gram(self) -> Matrix:
+        return self._basis_gram @ self.basis.T
+
+    def gram(self) -> Matrix:
+        """Induced Gram matrix basis . ambient.gram . basis^T, computed once."""
+        return self._gram
 
     def sublattice(self, label: str | None = None) -> IntegralLattice:
         return IntegralLattice(self.gram(), label)
@@ -46,8 +54,7 @@ class LatticeEmbedding:
 
 def is_primitive(e: LatticeEmbedding) -> bool:
     """True iff the row span equals its saturation (all SNF divisors are 1)."""
-    s, _, _ = snf(e.basis)
-    return all(s[i, i] == 1 for i in range(e.rank))
+    return all(x == 1 for x in snf(e.basis)[0].diagonal())
 
 
 def saturate(e: LatticeEmbedding) -> LatticeEmbedding:
@@ -66,7 +73,7 @@ def orthogonal_complement(e: LatticeEmbedding) -> LatticeEmbedding:
     degenerate sublattice the kernel meets the sublattice and a warning is
     emitted, but the kernel is still returned.
     """
-    k = kernel_basis(e.ambient.gram @ e.basis.T)
+    k = kernel_basis(e._basis_gram.T)
     if det(e.gram()) == 0:
         warnings.warn("sublattice is degenerate; complement meets it", stacklevel=2)
     return LatticeEmbedding(e.ambient, k)
@@ -112,14 +119,14 @@ def overlattice(M: IntegralLattice, glue_gens) -> Overlattice:
         raise ValueError("glue vector has wrong length")
     denom = lcm(*(x.denominator for r in rows for x in r))
     gens = [[x.numerator * (denom // x.denominator) for x in r] for r in rows]
-    _check_glue(M.gram.tolist(), gens, denom)
-    h, _ = hnf([[denom * (i == j) for j in range(n)] for i in range(n)] + gens)
-    w = h[:n] * Fraction(1, denom)
-    new_gram_q = w @ M.gram @ w.T
-    if any(x.denominator != 1 for x in new_gram_q.flat):
+    _check_glue(M.gram, gens, denom)
+    h = hnf([[denom * (i == j) for j in range(n)] for i in range(n)] + gens)[0][:n]
+    hgh = h @ M.gram @ h.T  # denom^2 times the Gram matrix of the new basis h / denom
+    if any(x % (denom * denom) for x in hgh.flat):
         raise ValueError("glue does not generate an integral lattice")
-    new_gram = intmat(new_gram_q)
-    index = denom**n // abs(det(h[:n]))
+    new_gram = [[x // (denom * denom) for x in row] for row in hgh]
+    w = Matrix(tuple(tuple(Fraction(x, denom) for x in row) for row in h), n)
+    index = denom**n // abs(det(h))
     out = Overlattice(new_gram, M, w, index, label=M.label and f"overlattice of {M.label}")
     assert index * index * abs(det(new_gram)) == abs(det(M.gram))
     return out
@@ -176,7 +183,7 @@ def glue_data(M: IntegralLattice, N: IntegralLattice, over_basis) -> GlueData:
     m, n = M.rank, N.rank
     if not (is_even(M) and is_even(N)):
         raise ValueError("M (+) N is odd; the discriminant quadratic form needs an even lattice")
-    rows = [[Fraction(x) for x in row] for row in np.asarray(over_basis, dtype=object)]
+    rows = [[Fraction(x) for x in row] for row in over_basis]
     if any(len(r) != m + n for r in rows):
         raise ValueError("over-basis rows must have length rank(M) + rank(N)")
     # the closure runs on integer numerators over the common denominator den
@@ -196,7 +203,7 @@ def glue_data(M: IntegralLattice, N: IntegralLattice, over_basis) -> GlueData:
     elements = sorted(group)
     if len({e[:m] for e in elements}) != len(group) or len({e[m:] for e in elements}) != len(group):
         raise ValueError("glue projections are not injective; not a primitive pair")
-    _check_glue(direct_sum(M, N).gram.tolist(), kept, den)
+    _check_glue(direct_sum(M, N).gram, kept, den)
     return GlueData(den, tuple((e[:m], e[m:]) for e in elements))
 
 

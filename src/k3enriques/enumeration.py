@@ -41,7 +41,7 @@ def short_vectors(L: IntegralLattice, bound: int) -> ShortVectorReport:
         return ShortVectorReport(bound, (), None, {})
     # a definite form has the sign of its diagonal
     sign = 1 if L.gram[0, 0] > 0 else -1
-    d, r = _ldl(sign * L.gram)
+    d, r = _ldl([[sign * x for x in row] for row in L.gram])
     # all leading minors positive: definite, and _ldl kept the caller's basis
     if min(d) <= 0:
         raise ValueError("short-vector enumeration requires a definite lattice")
@@ -89,7 +89,7 @@ def min_norm(L: IntegralLattice) -> int:
     """Signed norm of smallest absolute value among nonzero vectors."""
     if L.rank < 1:
         raise ValueError("minimum norm needs rank >= 1")
-    start = min(abs(int(L.gram[i, i])) for i in range(L.rank))
+    start = min(map(abs, L.gram.diagonal()))
     report = short_vectors(L, start)
     assert report.min_norm is not None  # a basis vector attains `start`
     return report.min_norm

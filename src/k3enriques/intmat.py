@@ -1,10 +1,11 @@
 """Exact integer matrix routines: HNF, SNF, kernels and determinants.
 
 The kernels compute on lists of Python int rows (arbitrary precision, no
-floating point): a matrix is converted once on entry and returned as a numpy
-array with ``dtype=object`` holding Python ints; only ``rat_inv`` returns
-``fractions.Fraction``.  Entries must be integers (``__index__``, or a
-``Fraction`` with denominator 1); any other entry raises TypeError.
+floating point): any nested sequence of rows is converted once on entry, and
+results are immutable ``Matrix`` objects of Python ints; only ``rat_inv``
+returns ``fractions.Fraction`` entries.  Entries must be integers
+(``__index__``, or a ``Fraction`` with denominator 1); any other entry
+raises TypeError.
 """
 from __future__ import annotations
 
@@ -12,17 +13,81 @@ from fractions import Fraction
 from math import gcd
 from operator import index
 
-import numpy as np
-
 
 def _int(x) -> int:
     return x.numerator if type(x) is Fraction and x.denominator == 1 else index(x)
 
 
+class Matrix:
+    """An immutable exact matrix: a tuple of row tuples and its column count.
+
+    Matrix(rows, c) trusts its arguments (rows a tuple of c-tuples); intmat
+    and the kernels check the entries of any input, a Matrix included, as
+    rat_inv's Matrix holds Fractions.  m[i, j] is an entry, m[i] a
+    row tuple and m[i:j] a Matrix of rows; m @ m2 is the exact product.
+    There is no other arithmetic: n * m and m + m raise TypeError (they are
+    not the entrywise numpy operations).
+    """
+
+    __slots__ = ("rows", "shape")
+
+    def __init__(self, rows: tuple, c: int):
+        self.rows, self.shape = rows, (len(rows), c)
+
+    def __getitem__(self, key):
+        if type(key) is tuple:
+            i, j = key
+            return self.rows[i][j]
+        if type(key) is slice:
+            return Matrix(self.rows[key], self.shape[1])
+        return self.rows[key]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Matrix and self.shape == other.shape and self.rows == other.rows
+
+    @property
+    def T(self) -> Matrix:
+        r, c = self.shape
+        return Matrix(tuple(zip(*self.rows)) if r else ((),) * c, r)
+
+    @property
+    def flat(self):
+        """Iterator over the entries, row by row."""
+        return (x for row in self.rows for x in row)
+
+    def tolist(self) -> list[list]:
+        return [list(row) for row in self.rows]
+
+    def diagonal(self) -> tuple:
+        return tuple(row[i] for i, row in zip(range(self.shape[1]), self.rows))
+
+    def __matmul__(self, other: Matrix) -> Matrix:
+        """The exact product: each row a combination of the rows of other,
+        skipping zero coefficients (the matrices here are sparse)."""
+        if type(other) is not Matrix:
+            return NotImplemented
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"cannot multiply shapes {self.shape} and {other.shape}")
+        c = other.shape[1]
+        out = []
+        for a in self.rows:
+            acc = None
+            for x, row in zip(a, other.rows):
+                if x:
+                    acc = [x * y for y in row] if acc is None else [
+                        s + x * y for s, y in zip(acc, row)
+                    ]
+            out.append((0,) * c if acc is None else tuple(acc))
+        return Matrix(tuple(out), c)
+
+
 def _rows(m) -> tuple[list[list[int]], int]:
     """The entries of the matrix m as lists of Python ints, and its column count."""
-    if isinstance(m, np.ndarray) and m.ndim == 2:
-        rows, c = m.tolist(), m.shape[1]
+    if type(m) is Matrix:
+        rows, c = m.rows, m.shape[1]
     else:
         rows = [list(r) for r in m]
         c = len(rows[0]) if rows else 0
@@ -34,21 +99,18 @@ def _rows(m) -> tuple[list[list[int]], int]:
         return [list(map(_int, r)) for r in rows], c
 
 
-def _array(rows: list[list[int]], c: int) -> np.ndarray:
-    """The int rows as an exact (dtype=object) matrix with c columns."""
-    a = np.empty((len(rows), c), dtype=object)
-    if rows:
-        a[:] = rows
-    return a
+def _matrix(rows: list[list], c: int) -> Matrix:
+    """The rows as a Matrix with c columns."""
+    return Matrix(tuple(map(tuple, rows)), c)
 
 
 def _eye(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-def intmat(rows) -> np.ndarray:
-    """Build an exact integer matrix (dtype=object) from nested sequences."""
-    return _array(*_rows(rows))
+def intmat(rows) -> Matrix:
+    """Build an exact integer Matrix from nested sequences."""
+    return _matrix(*_rows(rows))
 
 
 def _hnf(a: list[list[int]], u: list[list[int]]) -> list[list[int]]:
@@ -98,7 +160,7 @@ def _hnf(a: list[list[int]], u: list[list[int]]) -> list[list[int]]:
     return u
 
 
-def hnf(m) -> tuple[np.ndarray, np.ndarray]:
+def hnf(m) -> tuple[Matrix, Matrix]:
     """Row Hermite normal form.
 
     Returns (H, U) with U unimodular and U @ m = H.  H is in row echelon
@@ -107,10 +169,10 @@ def hnf(m) -> tuple[np.ndarray, np.ndarray]:
     """
     a, c = _rows(m)
     u = _hnf(a, _eye(len(a)))
-    return _array(a, c), _array(u, len(a))
+    return _matrix(a, c), _matrix(u, len(a))
 
 
-def snf(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form.
 
     Returns (S, U, V) with U, V unimodular, U @ m @ V = S diagonal with
@@ -148,14 +210,14 @@ def snf(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             vt[i] = [x + y for x, y in zip(vi, vj)]
             vt[j] = [s * p // g * y - t * q // g * x for x, y in zip(vi, vj)]
             a[i][i], a[j][j] = g, p // g * q
-    return _array(a, c), _array(u, r), _array(list(map(list, zip(*vt))), c)
+    return _matrix(a, c), _matrix(u, r), _matrix(list(map(list, zip(*vt))), c)
 
 
-def kernel_basis(m) -> np.ndarray:
+def kernel_basis(m) -> Matrix:
     """Basis of the saturated left integer kernel {x : x @ m = 0} (rows)."""
     a, _ = _rows(m)
     u = _hnf(a, _eye(len(a)))
-    return _array([x for h, x in zip(a, u) if not any(h)], len(a))
+    return _matrix([x for h, x in zip(a, u) if not any(h)], len(a))
 
 
 def det(m):
@@ -182,7 +244,7 @@ def det(m):
     return sign * a[n - 1][n - 1]
 
 
-def rat_inv(m) -> np.ndarray:
+def rat_inv(m) -> Matrix:
     """Exact inverse of a square integer matrix, entries as Fractions.
 
     Fraction-free (Bareiss) Gauss-Jordan elimination of [m | I] on Python
@@ -209,4 +271,4 @@ def rat_inv(m) -> np.ndarray:
             elif p != prev:  # f = 0: the update only rescales the row by p / prev
                 a[i] = [p * x // prev for x in a[i]]
         prev = p
-    return _array([[Fraction(x, prev) for x in row[n:]] for row in a], n)
+    return _matrix([[Fraction(x, prev) for x in row[n:]] for row in a], n)

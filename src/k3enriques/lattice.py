@@ -14,7 +14,7 @@ from importlib import resources
 from math import isqrt, prod
 
 from .arith import _pollard_brent, is_odd_prime
-from .intmat import det, intmat, snf
+from .intmat import Matrix, det, intmat, snf
 
 
 class IntegralLattice:
@@ -24,7 +24,7 @@ class IntegralLattice:
         g = intmat(gram)
         if g.shape[0] != g.shape[1]:
             raise ValueError("Gram matrix must be square")
-        if not (g == g.T).all():
+        if g != g.T:
             raise ValueError("Gram matrix must be symmetric")
         self.gram = g
         self.label = label
@@ -34,7 +34,7 @@ class IntegralLattice:
         return self.gram.shape[0]
 
     def __eq__(self, other):
-        return isinstance(other, IntegralLattice) and bool((self.gram == other.gram).all())
+        return isinstance(other, IntegralLattice) and self.gram == other.gram
 
     def __repr__(self):
         name = self.label or f"lattice of rank {self.rank}"
@@ -90,13 +90,13 @@ def twist(L: IntegralLattice, n: int) -> IntegralLattice:
     if n < 1:
         raise ValueError("twist factor must be positive")
     label = f"{L.label}({n})" if L.label and n != 1 else L.label
-    return IntegralLattice(n * L.gram, label)
+    return IntegralLattice([[n * x for x in row] for row in L.gram], label)
 
 
 def direct_sum(L1: IntegralLattice, L2: IntegralLattice) -> IntegralLattice:
     """Orthogonal direct sum, block-diagonal Gram."""
-    g1, g2 = L1.gram.tolist(), L2.gram.tolist()
-    return IntegralLattice([r + [0] * L2.rank for r in g1] + [[0] * L1.rank + r for r in g2])
+    z1, z2 = (0,) * L1.rank, (0,) * L2.rank
+    return IntegralLattice([r + z2 for r in L1.gram] + [z1 + r for r in L2.gram])
 
 
 def discriminant(L: IntegralLattice):
@@ -105,7 +105,7 @@ def discriminant(L: IntegralLattice):
 
 
 def is_even(L: IntegralLattice) -> bool:
-    return all(L.gram[i, i] % 2 == 0 for i in range(L.rank))
+    return all(x % 2 == 0 for x in L.gram.diagonal())
 
 
 def _ldl(gram) -> tuple[list[int], list[list[int]]]:
@@ -118,7 +118,7 @@ def _ldl(gram) -> tuple[list[int], list[list[int]]]:
     either step changes coordinates, and neither runs when all d are
     positive.  A degenerate form ends d with 0.
     """
-    a = gram.tolist()
+    a = [list(row) for row in gram]
     n = len(a)
     d, rows = [1], []
     k = 0
@@ -233,7 +233,7 @@ def _divisors(L: IntegralLattice) -> list[int]:
     The zeros of a degenerate form are dropped as well, so callers test
     nondegeneracy first (discriminant_group raises instead).
     """
-    return [int(x) for x in snf(L.gram)[0].diagonal() if x > 1]
+    return [x for x in snf(L.gram)[0].diagonal() if x > 1]
 
 
 def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:
@@ -247,22 +247,20 @@ def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:
     if L.rank == 0:
         return DiscriminantGroup((), (), (), ())
     s, _, v = snf(L.gram)
-    divs = [int(s[i, i]) for i in range(L.rank)]
+    divs = s.diagonal()
     if 0 in divs:
         raise ValueError("degenerate form has no discriminant group")
-    cols = sorted(
-        (d, tuple(int(x) % d for x in v[:, i])) for i, d in enumerate(divs) if d > 1
-    )
-    w = intmat([c for _, c in cols])
-    w = w @ L.gram @ w.T if cols else w
+    cols = sorted((d, tuple(x % d for x in col)) for col, d in zip(v.T, divs) if d > 1)
+    w = Matrix(tuple(c for _, c in cols), L.rank)
+    w = w @ L.gram @ w.T
     return DiscriminantGroup(
         tuple(d for d, _ in cols),
         tuple(tuple(Fraction(x, d) for x in c) for d, c in cols),
         tuple(
-            tuple(Fraction(int(w[i, j]) % (di * dj), di * dj) for j, (dj, _) in enumerate(cols))
+            tuple(Fraction(w[i, j] % (di * dj), di * dj) for j, (dj, _) in enumerate(cols))
             for i, (di, _) in enumerate(cols)
         ),
-        tuple(Fraction(int(w[i, i]) % (2 * d * d), d * d) for i, (d, _) in enumerate(cols)),
+        tuple(Fraction(w[i, i] % (2 * d * d), d * d) for i, (d, _) in enumerate(cols)),
     )
 
 
@@ -271,7 +269,7 @@ def save_lattice(L: IntegralLattice, path) -> None:
     doc = {
         "label": L.label,
         "rank": L.rank,
-        "gram": [int(x) for row in L.gram for x in row],
+        "gram": list(L.gram.flat),
     }
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)

@@ -255,7 +255,7 @@ def full_ball_short_vectors(L, bound):
         return ShortVectorReport(bound, (), None, {})
     # a definite form has the sign of its diagonal
     sign = 1 if L.gram[0, 0] > 0 else -1
-    d, r = _ldl(sign * L.gram)
+    d, r = _ldl([[sign * x for x in row] for row in L.gram])
     # all leading minors positive: definite, and _ldl kept the caller's basis
     if min(d) <= 0:
         raise ValueError("short-vector enumeration requires a definite lattice")
@@ -306,6 +306,12 @@ def e8_root_count_euclidean():
         if sum(v * v for v in x) == 2 and sum(x) % 2 == 0:
             count += 1
     return count
+
+
+def arr(m):
+    """A Matrix as a numpy object array of the same shape, for numpy arithmetic
+    in tests: Matrix has no arithmetic but @."""
+    return np.array(m.tolist(), dtype=object).reshape(m.shape)
 
 
 def random_int_matrix(rng, rows, cols, lo, hi):

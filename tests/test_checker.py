@@ -18,7 +18,7 @@ from k3enriques.checker import (
     verify_certificate,
 )
 from k3enriques.embeddings import extends_to, identity_map, negation_map
-from k3enriques.intmat import intmat
+from k3enriques.intmat import Matrix, intmat
 from k3enriques.lattice import (
     FIXTURES,
     IntegralLattice,
@@ -26,6 +26,8 @@ from k3enriques.lattice import (
     fixture_path,
     load_lattice,
 )
+
+from oracles import arr
 
 
 def _check(cert, name):
@@ -464,7 +466,9 @@ def test_compute_case_runs_each_kernel_once_per_need(monkeypatch):
     # _ldl: N and M each once for signature and determinant, N once more in
     # count_norm; det: the two independence tests and the degeneracy warning
     # of the embedding and its complement; snf: the embedding_primitive
-    # witness and N's divisors
+    # witness and N's divisors; @: per embedding and complement, b b^T for
+    # independence, then b G and (b G) b^T, shared by the kernel of (b G)^T,
+    # the degeneracy warning and the case's Gram matrices
     calls = Counter()
 
     def counted(name, f):
@@ -474,10 +478,11 @@ def test_compute_case_runs_each_kernel_once_per_need(monkeypatch):
         for name in ("_ldl", "det", "snf"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(Matrix, "__matmul__", counted("@", Matrix.__matmul__))
     for sigma in (2, 3, 4, 5):
         calls.clear()
         assert checker._compute_case(sigma, 999999937).passed
-        assert calls == {"_ldl": 3, "det": 3, "snf": 2}
+        assert calls == {"_ldl": 3, "det": 3, "snf": 2, "@": 6}
 
 
 def _digest(obj) -> str:
@@ -535,11 +540,11 @@ def test_fixture_torsion_forms_digest_pinned():
         L = load_lattice(fixture_path(name))
         g = discriminant_group(L)
         den = max(g.divisors, default=1)
-        gens = intmat([[int(c * den) for c in v] for v in g.generators])
+        gens = arr(intmat([[int(c * den) for c in v] for v in g.generators]))
         form = set()
         for ks in product(*(range(d) for d in g.divisors)):
-            x = intmat([ks]) @ gens % den if ks else intmat([[0] * L.rank])
-            q = int((x @ L.gram @ x.T)[0, 0]) % (2 * den * den)
+            x = arr(intmat([ks])) @ gens % den if ks else arr(intmat([[0] * L.rank]))
+            q = int((x @ arr(L.gram) @ x.T)[0, 0]) % (2 * den * den)
             form.add((tuple(str(Fraction(int(c), den)) for c in x[0]), str(Fraction(q, den * den))))
         assert len(form) == g.order
         docs.append(sorted(form))

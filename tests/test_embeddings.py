@@ -32,6 +32,7 @@ from k3enriques.lattice import (
 )
 
 from oracles import (
+    arr,
     fraction_extends_to,
     fraction_glue,
     fraction_glue_isotropic,
@@ -60,6 +61,18 @@ def test_embedding_rejects_dependent_rows():
         LatticeEmbedding(gamma2(), [[1, 2] + [0] * 8, [2, 4] + [0] * 8])
 
 
+def test_embedding_gram_is_the_triple_product_computed_once():
+    rng = random.Random(8)
+    amb = gamma2()
+    for _ in range(20):
+        e = LatticeEmbedding(amb, random_int_matrix(rng, rng.randint(1, 4), 10, -9, 9))
+        g = e.gram()
+        b = arr(e.basis)
+        assert g.tolist() == (b @ arr(amb.gram) @ b.T).tolist()
+        # the basis is immutable, so the product is shared, not recomputed
+        assert e.gram() is g and e.sublattice().gram == g
+
+
 def test_saturate():
     e = saturate(LatticeEmbedding(U2, [[2, 0]]))
     assert e.basis.tolist() in ([[1, 0]], [[-1, 0]])
@@ -73,7 +86,7 @@ def test_saturate_idempotent():
     s2 = saturate(s)
     assert is_primitive(s) and is_primitive(s2)
     # same rational span
-    assert det([[int(s.basis[0] @ s2.basis[0])]]) != 0
+    assert det([[int(arr(s.basis)[0] @ arr(s2.basis)[0])]]) != 0
 
 
 def test_saturate_contains_basis_and_is_primitive():
@@ -89,7 +102,7 @@ def test_saturate_contains_basis_and_is_primitive():
         assert s.rank == e.rank and is_primitive(s)
         # the rows of e lie in the lattice spanned by the rows of s
         both, _ = hnf(list(s.basis) + list(e.basis))
-        assert (both[: s.rank] == hnf(s.basis)[0]).all()
+        assert both[: s.rank] == hnf(s.basis)[0]
 
 
 def test_orthogonal_complement_case21():

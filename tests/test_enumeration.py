@@ -13,6 +13,7 @@ from k3enriques.intmat import det
 from k3enriques.lattice import IntegralLattice, builtin, diag_lattice, signature, twist
 
 from oracles import (
+    arr,
     box_short_vectors,
     full_ball_short_vectors,
     random_even_symmetric,
@@ -76,7 +77,7 @@ def _random_negdef(rng, n):
 
 
 def _skewed(L, u):
-    return IntegralLattice(u @ L.gram @ u.T)
+    return IntegralLattice(u @ arr(L.gram) @ u.T)
 
 
 def test_completeness_against_box_oracle():

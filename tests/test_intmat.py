@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3enriques.embeddings import LatticeEmbedding
-from k3enriques.intmat import det, hnf, intmat, kernel_basis, rat_inv, snf
-from k3enriques.lattice import _E8_GRAM, builtin, diag_lattice
+from k3enriques.intmat import Matrix, det, hnf, intmat, kernel_basis, rat_inv, snf
+from k3enriques.lattice import _E8_GRAM, IntegralLattice, builtin, diag_lattice, twist
 
 from oracles import (
+    arr,
     fraction_inv,
     minors_invariant_factors,
     naive_det,
@@ -38,7 +39,7 @@ def test_hnf_hand_example():
     assert h.tolist() == [[1, 1], [0, 2]]
     h2, _ = hnf([[1, 3], [0, 2]])
     assert h2.tolist() == h.tolist()
-    assert (u @ intmat([[2, 4], [1, 3]]) == h).all()
+    assert u @ intmat([[2, 4], [1, 3]]) == h
 
 
 def test_snf_divisor_chain_kept():
@@ -55,13 +56,13 @@ def test_snf_hand_example():
     m = intmat([[2, 1], [1, 2]])
     s, u, v = snf(m)
     assert s.tolist() == [[1, 0], [0, 3]]
-    assert (u @ m @ v == s).all()
+    assert u @ m @ v == s
 
 
 def test_kernel_rank_one():
     k = kernel_basis([[1], [1]])
     assert k.shape == (1, 2)
-    assert k[0].tolist() in ([1, -1], [-1, 1])
+    assert k.tolist()[0] in ([1, -1], [-1, 1])
 
 
 def test_kernel_injective():
@@ -72,14 +73,43 @@ def test_kernel_injective():
 def test_kernel_saturated():
     k = kernel_basis([[2], [4]])
     assert k.shape == (1, 2)
-    assert k[0].tolist() in ([2, -1], [-2, 1])
+    assert k.tolist()[0] in ([2, -1], [-2, 1])
+
+
+def test_matrix_is_immutable_and_has_no_entrywise_arithmetic():
+    m = intmat(_E8_GRAM)
+    with pytest.raises(TypeError):
+        m[0, 0] = 1
+    with pytest.raises(TypeError):
+        m[0] = (0,) * 8
+    # tuple repetition and concatenation never happen silently
+    for op in (lambda: 2 * m, lambda: m * 2, lambda: m + m):
+        with pytest.raises(TypeError):
+            op()
+    assert twist(builtin("E8"), 2).gram.tolist() == [[2 * x for x in row] for row in _E8_GRAM]
+    eq = m == m.T
+    assert type(eq) is bool and eq
+    assert m != intmat([[1]]) and m != _E8_GRAM
+
+
+def test_matrix_shapes_flat_and_slices():
+    k = kernel_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert k.shape == (0, 3) and k.T.shape == (3, 0) and k.T.T.shape == (0, 3)
+    assert list(k.flat) == [] and (k @ intmat([[1]] * 3)).shape == (0, 1)
+    m = intmat([[1, 2, 3], [4, 5, 6]])
+    assert list(m.flat) == [1, 2, 3, 4, 5, 6]
+    assert m[1, 2] == 6 and m[1] == (4, 5, 6) and m[1:].tolist() == [[4, 5, 6]]
+    assert m.T.tolist() == [[1, 4], [2, 5], [3, 6]] and m.diagonal() == (1, 5)
+    assert (m @ m.T).tolist() == [[14, 32], [32, 77]]
+    with pytest.raises(ValueError):
+        m @ m
 
 
 def test_det_examples():
     assert det([[0, 1], [1, 0]]) == -1
     assert det(_E8_GRAM) == 1
     assert det(_E8_GRAM) == naive_det(_E8_GRAM)
-    e8_2 = (2 * intmat(_E8_GRAM)).tolist()
+    e8_2 = (2 * arr(intmat(_E8_GRAM))).tolist()
     assert det(e8_2) == 256
 
 
@@ -95,7 +125,7 @@ def test_snf_random_properties():
         c = rng.randint(1, 6)
         m = random_int_matrix(rng, r, c, -10, 10)
         s, u, v = snf(m)
-        assert (u @ m @ v == s).all()
+        assert (arr(u) @ m @ arr(v) == arr(s)).all()
         assert abs(det(u)) == 1 and abs(det(v)) == 1
         diag = [int(s[i, i]) for i in range(min(r, c))]
         assert all(d >= 0 for d in diag)
@@ -112,7 +142,7 @@ def test_hnf_snf_against_naive_oracles():
             m = random_int_matrix(rng, r, c, -3, 3)
             h, u = hnf(m)
             assert h.tolist() == naive_hnf(m.tolist())
-            assert (u @ m == h).all()
+            assert (arr(u) @ m == arr(h)).all()
             assert abs(det(u)) == 1
             s, _, _ = snf(m)
             diag = [int(s[i, i]) for i in range(min(r, c)) if s[i, i] != 0]
@@ -126,7 +156,7 @@ def test_kernel_random_properties():
         c = rng.randint(1, 5)
         m = random_int_matrix(rng, r, c, -6, 6)
         k = kernel_basis(m)
-        assert (k @ m == np.zeros((k.shape[0], c), dtype=object)).all()
+        assert (arr(k) @ m == np.zeros((k.shape[0], c), dtype=object)).all()
         s, _, _ = snf(m)
         rank = sum(1 for i in range(min(r, c)) if s[i, i] != 0)
         assert k.shape[0] + rank == r
@@ -152,7 +182,7 @@ def test_snf_random_square_is_fast_and_small(n):
     t0 = time.perf_counter()
     s, u, v = snf(m)
     assert time.perf_counter() - t0 < 1.0
-    assert (u @ m @ v == s).all()
+    assert (arr(u) @ m @ arr(v) == arr(s)).all()
     assert abs(det(u)) == 1 and abs(det(v)) == 1
     assert max(abs(int(x)).bit_length() for x in [*u.flat, *v.flat]) < 1000
 
@@ -168,8 +198,20 @@ def test_rat_inv_against_fraction_oracle():
         tried += 1
         inv = rat_inv(m)
         assert all(type(x) is Fraction for x in inv.flat)
-        assert (inv @ m == np.identity(n, dtype=object)).all()
+        assert (arr(inv) @ m == np.identity(n, dtype=object)).all()
         assert inv.tolist() == fraction_inv(m.tolist())
+
+
+def test_kernels_refuse_a_fraction_matrix():
+    # rat_inv returns a Matrix of Fractions: no kernel may floor-divide them
+    inv = rat_inv([[2, 0], [0, 3]])
+    for kernel in (det, hnf, snf, kernel_basis, rat_inv, intmat):
+        with pytest.raises(TypeError):
+            kernel(inv)
+    with pytest.raises(TypeError):
+        IntegralLattice(inv)
+    # integral Fractions are integers, as in any other input
+    assert intmat(rat_inv([[1, 1], [0, 1]])).tolist() == [[1, -1], [0, 1]]
 
 
 def test_rat_inv_refusals():
@@ -205,7 +247,7 @@ def _int_matrices(draw):
 
     def block(rows, cols, lo, hi):
         row = st.lists(st.integers(lo, hi), min_size=cols, max_size=cols)
-        return intmat(draw(st.lists(row, min_size=rows, max_size=rows))).reshape(rows, cols)
+        return Matrix(tuple(map(tuple, draw(st.lists(row, min_size=rows, max_size=rows)))), cols)
 
     if draw(st.booleans()) or min(r, c) == 0:
         return block(r, c, -9, 9)
@@ -214,7 +256,7 @@ def _int_matrices(draw):
 
 
 def _exact(*mats):
-    return all(m.dtype == object and all(type(x) is int for x in m.flat) for m in mats)
+    return all(type(m) is Matrix and all(type(x) is int for x in m.flat) for m in mats)
 
 
 @settings(max_examples=150, deadline=None)

@@ -28,6 +28,7 @@ from k3enriques.lattice import (
 )
 
 from oracles import (
+    arr,
     fraction_signature,
     minors_invariant_factors,
     random_even_symmetric,
@@ -351,6 +352,6 @@ def test_discriminant_group_skewed_basis_of_u_u2_e8_2():
     for seed in range(30):
         p = random_unimodular(random.Random(seed), 12, 20)
         t0 = time.perf_counter()
-        dg = discriminant_group(IntegralLattice(p @ amb.gram @ p.T))
+        dg = discriminant_group(IntegralLattice(p @ arr(amb.gram) @ p.T))
         assert time.perf_counter() - t0 < 1.0
         assert dg.divisors == (2,) * 10

@@ -1,8 +1,8 @@
 """Repository rules checked on the source: the benchmark wraps library
 functions by name, so a rename must fail here too, a traced run through
 those wrappers must succeed, no function in the package or its tests holds
-an import, no module imports a name it does not use, and the glue
-extension test runs on integers."""
+an import, no module imports a name it does not use, the package runs
+without numpy, and the glue extension test runs on integers."""
 import ast
 import dataclasses
 import importlib
@@ -62,6 +62,26 @@ def test_traced_run_succeeds():
     run = subprocess.run(
         [sys.executable, "-c", _TRACED_RUN, str(TRACING)],
         env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+_NUMPY_FREE_RUN = """
+import contextlib, io, sys
+import k3enriques
+from k3enriques import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["decide", "--p", "1000003", "--sigma", "3"]) == 0
+assert k3enriques.gamma2_in_k3().passed
+assert "numpy" not in sys.modules, "k3enriques loaded numpy"
+"""
+
+
+def test_package_runs_without_numpy():
+    # a fresh interpreter: the tests themselves import numpy as an oracle
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_RUN], env=env, capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
 
