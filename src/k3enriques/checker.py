@@ -26,7 +26,7 @@ from .embeddings import (
     orthogonal_complement,
 )
 from .enumeration import count_norm
-from .intmat import rat_inv, snf
+from .intmat import _snf_diagonal, rat_inv
 from .lattice import (
     IntegralLattice,
     _divisors,
@@ -156,7 +156,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
 
     checks = []
 
-    snf_divs = list(snf(emb.basis)[0].diagonal())
+    snf_divs = _snf_diagonal(emb.basis)
     checks.append(
         Check(
             "embedding_primitive",

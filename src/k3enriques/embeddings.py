@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .intmat import Matrix, det, hnf, intmat, kernel_basis, snf
+from .intmat import Matrix, _snf_diagonal, det, hnf, intmat, kernel_basis
 from .lattice import DiscriminantGroup, IntegralLattice, _prime_powers, direct_sum, is_even
 
 
@@ -54,7 +54,7 @@ class LatticeEmbedding:
 
 def is_primitive(e: LatticeEmbedding) -> bool:
     """True iff the row span equals its saturation (all SNF divisors are 1)."""
-    return all(x == 1 for x in snf(e.basis)[0].diagonal())
+    return all(x == 1 for x in _snf_diagonal(e.basis))
 
 
 def saturate(e: LatticeEmbedding) -> LatticeEmbedding:
@@ -76,7 +76,10 @@ def orthogonal_complement(e: LatticeEmbedding) -> LatticeEmbedding:
     k = kernel_basis(e._basis_gram.T)
     if det(e.gram()) == 0:
         warnings.warn("sublattice is degenerate; complement meets it", stacklevel=2)
-    return LatticeEmbedding(e.ambient, k)
+    # rows of a unimodular transform, so independent: skip the check of __init__
+    out = LatticeEmbedding.__new__(LatticeEmbedding)
+    out.ambient, out.basis = e.ambient, k
+    return out
 
 
 class Overlattice(IntegralLattice):

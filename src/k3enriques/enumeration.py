@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 
-from .lattice import IntegralLattice, _ldl
+from .lattice import IntegralLattice
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,10 @@ def short_vectors(L: IntegralLattice, bound: int) -> ShortVectorReport:
         return ShortVectorReport(bound, (), None, {})
     # a definite form has the sign of its diagonal
     sign = 1 if L.gram[0, 0] > 0 else -1
-    d, r = _ldl([[sign * x for x in row] for row in L.gram])
+    d, r = L._elim
+    if sign < 0:  # the elimination of -G: minors times (-1)^k, rows times (-1)^(k+1)
+        d = [-x if k % 2 else x for k, x in enumerate(d)]
+        r = [row if k % 2 else [-x for x in row] for k, row in enumerate(r)]
     # all leading minors positive: definite, and _ldl kept the caller's basis
     if min(d) <= 0:
         raise ValueError("short-vector enumeration requires a definite lattice")

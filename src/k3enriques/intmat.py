@@ -114,8 +114,8 @@ def intmat(rows) -> Matrix:
 
 
 def _hnf(a: list[list[int]], u: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form of the int rows a, in place; every row
-    operation is applied to the rows u as well, which are returned."""
+    """Row Hermite normal form of the int rows a, in place; every row operation
+    is applied to the rows u (of any width, zero too), which are returned."""
     r, c = len(a), len(a[0]) if a else 0
 
     def sub(i, q):
@@ -123,7 +123,7 @@ def _hnf(a: list[list[int]], u: list[list[int]]) -> list[list[int]]:
         ai, ap, ui, up = a[i], a[row], u[i], u[row]
         for j in range(col, c):
             ai[j] -= q * ap[j]
-        for j in range(r):
+        for j in range(len(ui)):
             ui[j] -= q * up[j]
 
     row = 0
@@ -172,20 +172,16 @@ def hnf(m) -> tuple[Matrix, Matrix]:
     return _matrix(a, c), _matrix(u, len(a))
 
 
-def snf(m) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form.
-
-    Returns (S, U, V) with U, V unimodular, U @ m @ V = S diagonal with
-    nonnegative entries satisfying the divisor chain d1 | d2 | ...
-
-    Row and column Hermite forms alternate until the matrix is diagonal
-    (Kannan-Bachem), which keeps entries and transforms small; a gcd/lcm
-    pass over the diagonal then restores the chain.  The row passes act on
-    U and the column passes, as row passes on the transpose, on V^T.
-    """
+def _snf(m, eye=_eye) -> tuple:
+    """The rows of snf's S, its column count c, and the rows of U and V^T,
+    started as eye(r) and eye(c).  Row and column Hermite forms alternate
+    until the matrix is diagonal (Kannan-Bachem), which keeps entries and
+    transforms small; a gcd/lcm pass over the diagonal then restores the
+    chain.  The row passes act on U and the column passes, as row passes on
+    the transpose, on V^T."""
     a, c = _rows(m)
     r = len(a)
-    u, vt = _eye(r), _eye(c)
+    u, vt = eye(r), eye(c)
     while r and c:
         _hnf(a, u)
         a = list(map(list, zip(*a)))
@@ -210,7 +206,20 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
             vt[i] = [x + y for x, y in zip(vi, vj)]
             vt[j] = [s * p // g * y - t * q // g * x for x, y in zip(vi, vj)]
             a[i][i], a[j][j] = g, p // g * q
-    return _matrix(a, c), _matrix(u, r), _matrix(list(map(list, zip(*vt))), c)
+    return a, c, u, vt
+
+
+def snf(m) -> tuple[Matrix, Matrix, Matrix]:
+    """Smith normal form: (S, U, V) with U, V unimodular and U @ m @ V = S
+    diagonal, its entries nonnegative and in the divisor chain d1 | d2 | ..."""
+    a, c, u, vt = _snf(m)
+    return _matrix(a, c), _matrix(u, len(a)), _matrix(list(map(list, zip(*vt))), c)
+
+
+def _snf_diagonal(m) -> list[int]:
+    """The diagonal of snf(m)[0], from the same passes on zero-width U and V^T."""
+    a, c, _, _ = _snf(m, lambda n: [[] for _ in range(n)])
+    return [row[i] for i, row in zip(range(c), a)]
 
 
 def kernel_basis(m) -> Matrix:

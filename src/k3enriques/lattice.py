@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from math import isqrt, prod
 
 from .arith import _pollard_brent, is_odd_prime
-from .intmat import Matrix, det, intmat, snf
+from .intmat import Matrix, _snf_diagonal, det, intmat, snf
 
 
 class IntegralLattice:
@@ -32,6 +33,10 @@ class IntegralLattice:
     @property
     def rank(self) -> int:
         return self.gram.shape[0]
+
+    @cached_property
+    def _elim(self) -> tuple[list[int], list[list[int]]]:
+        return _ldl(self.gram)  # once: the Gram matrix is an immutable Matrix
 
     def __eq__(self, other):
         return isinstance(other, IntegralLattice) and self.gram == other.gram
@@ -151,7 +156,7 @@ def _signature_det(L: IntegralLattice) -> tuple[tuple[int, int], int]:
     """Signature and determinant of L from one _ldl: one sign per pivot
     d[k+1] / d[k], and the last leading minor is det G, since the swaps and
     hyperbolic steps of _ldl are unimodular congruences."""
-    d, _ = _ldl(L.gram)
+    d, _ = L._elim
     if d[-1] == 0:
         raise ValueError("degenerate form has no signature")
     plus = sum(p * q > 0 for p, q in zip(d, d[1:]))
@@ -233,7 +238,7 @@ def _divisors(L: IntegralLattice) -> list[int]:
     The zeros of a degenerate form are dropped as well, so callers test
     nondegeneracy first (discriminant_group raises instead).
     """
-    return [x for x in snf(L.gram)[0].diagonal() if x > 1]
+    return [x for x in _snf_diagonal(L.gram) if x > 1]
 
 
 def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:

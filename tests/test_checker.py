@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3enriques import arith, checker, embeddings, enumeration, intmat, lattice
+from k3enriques import arith, checker, embeddings, enumeration, lattice
 from k3enriques.checker import (
     build_case,
     decide_enriques,
@@ -462,27 +463,48 @@ def test_same_is_type_exact_and_never_raises():
     assert checker._same([Fraction(1)], [1]) is False
 
 
-def test_compute_case_runs_each_kernel_once_per_need(monkeypatch):
-    # _ldl: N and M each once for signature and determinant, N once more in
-    # count_norm; det: the two independence tests and the degeneracy warning
-    # of the embedding and its complement; snf: the embedding_primitive
-    # witness and N's divisors; @: per embedding and complement, b b^T for
-    # independence, then b G and (b G) b^T, shared by the kernel of (b G)^T,
-    # the degeneracy warning and the case's Gram matrices
+def _count_kernels(monkeypatch) -> Counter:
+    """Count every call of the exact kernels, through whichever module of the
+    package names them; the package's __init__ shadows the intmat module
+    with the function intmat, so the module is imported by its full name."""
     calls = Counter()
 
     def counted(name, f):
         return lambda *args: calls.update([name]) or f(*args)
 
-    for module in (intmat, lattice, embeddings, enumeration, checker):
-        for name in ("_ldl", "det", "snf"):
+    intmat_module = importlib.import_module("k3enriques.intmat")
+    for module in (intmat_module, lattice, embeddings, enumeration, checker):
+        for name in ("_ldl", "det", "snf", "_snf_diagonal"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(Matrix, "__matmul__", counted("@", Matrix.__matmul__))
+    return calls
+
+
+def test_compute_case_runs_each_kernel_once_per_need(monkeypatch):
+    # _ldl: N and M once each, shared by signature, determinant and, for N,
+    # count_norm; det: the embedding's independence test and the degeneracy
+    # warning; no snf, whose transforms no check reads: the Smith diagonal
+    # for the embedding_primitive witness and N's divisors; @: b b^T for the
+    # embedding's independence, then b G and (b G) b^T per embedding and
+    # complement, shared by the kernel of (b G)^T, the degeneracy warning and
+    # the case's Gram matrices.  The complement's rows come from a unimodular
+    # transform, so no b b^T or det re-proves their independence.
+    calls = _count_kernels(monkeypatch)
     for sigma in (2, 3, 4, 5):
         calls.clear()
         assert checker._compute_case(sigma, 999999937).passed
-        assert calls == {"_ldl": 3, "det": 3, "snf": 2, "@": 6}
+        assert calls == Counter({"_ldl": 2, "det": 2, "snf": 0, "_snf_diagonal": 2, "@": 5})
+
+
+def test_gamma2_in_k3_runs_each_kernel_once_per_need(monkeypatch):
+    # _ldl: the complement's signature and determinant; det: the embedding's
+    # independence test, the degeneracy warning and the two discriminants;
+    # the Smith diagonal: is_primitive and the complement's divisors; @ as
+    # in a case: b b^T, then b G and (b G) b^T per embedding and complement
+    calls = _count_kernels(monkeypatch)
+    assert checker.gamma2_in_k3().passed
+    assert calls == Counter({"_ldl": 1, "det": 4, "snf": 0, "_snf_diagonal": 2, "@": 5})
 
 
 def _digest(obj) -> str:

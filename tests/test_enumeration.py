@@ -40,8 +40,27 @@ def test_all_norms_multiple_of_four():
 
 
 def test_indefinite_rejected():
-    with pytest.raises(ValueError):
-        short_vectors(builtin("U"), 2)
+    text = "^short-vector enumeration requires a definite lattice$"
+    for gram in (
+        [[0, 1], [1, 0]],  # U: indefinite, zero diagonal
+        [[-2, 0], [0, 2]],
+        [[2, 1], [1, -2]],
+        [[-2, 2], [2, -2]],  # degenerate, negative semidefinite
+        [[2, 0], [0, 0]],
+        [[0, 0], [0, -2]],
+        [[0]],
+    ):
+        L = IntegralLattice(gram)
+        with pytest.raises(ValueError, match=text):
+            short_vectors(L, 2)
+        # the same text once signature has read the cached elimination
+        if det(gram):
+            assert 0 not in signature(L)
+        else:
+            with pytest.raises(ValueError, match="^degenerate form has no signature$"):
+                signature(L)
+        with pytest.raises(ValueError, match=text):
+            short_vectors(L, 2)
 
 
 def test_min_norm():
@@ -143,6 +162,8 @@ def test_half_ball_matches_full_ball(seed, n, positive, steps, bound):
     L = _skewed(IntegralLattice(g if positive else -g), random_unimodular(rng, n, steps))
     # whole reports: vector order, norms, counts and min_norm
     assert short_vectors(L, bound) == full_ball_short_vectors(L, bound)
+    # signature reads the elimination short_vectors left on L
+    assert signature(L) == ((n, 0) if positive else (0, n))
 
 
 def test_half_ball_node_count(monkeypatch):

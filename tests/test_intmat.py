@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3enriques.embeddings import LatticeEmbedding
-from k3enriques.intmat import Matrix, det, hnf, intmat, kernel_basis, rat_inv, snf
+from k3enriques.intmat import Matrix, _snf_diagonal, det, hnf, intmat, kernel_basis, rat_inv, snf
 from k3enriques.lattice import _E8_GRAM, IntegralLattice, builtin, diag_lattice, twist
 
 from oracles import (
@@ -274,6 +274,7 @@ def test_int_row_kernels_against_oracles(m):
     assert (u @ m).tolist() == h.tolist() and (su @ m @ sv).tolist() == s.tolist()
     assert all(abs(det(x)) == 1 for x in (u, su, sv))
     diag = [s[i, i] for i in range(min(r, c))]
+    assert _snf_diagonal(m) == diag and _snf_diagonal(rows) == diag
     assert s.tolist() == [[diag[i] if i == j else 0 for j in range(c)] for i in range(r)]
     rank = sum(1 for x in diag if x)
     assert all(b % a == 0 for a, b in zip(diag[:rank], diag[1:]))

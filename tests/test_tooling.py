@@ -35,18 +35,19 @@ def test_trace_targets_resolve():
 
 
 # the benchmark's --trace 1 path in miniature: the wrappers read .flat off
-# every matrix hnf and snf return, so a changed return type fails here
+# every matrix hnf and snf return, so a changed return type fails here; no
+# case or geometry check calls snf, so discriminant_group calls it
 _TRACED_RUN = """
 import contextlib, importlib.util, io, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 tracer = tracing.install()
-from k3enriques import checker, cli
-from k3enriques.lattice import fixture_path
+from k3enriques import checker, cli, lattice
 doc = json.loads(json.dumps(checker.build_case(2, 5).to_doc()))
 assert checker.verify_certificate(doc) == (True, [])
-e8 = str(fixture_path("E8"))
+e8 = str(lattice.fixture_path("E8"))
+assert lattice.discriminant_group(lattice.load_lattice(e8)).order == 1
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["lattice", "info", e8]) == 0
     assert cli.main(["lattice", "roots", e8]) == 0
