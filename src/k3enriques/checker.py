@@ -26,7 +26,7 @@ from .embeddings import (
     orthogonal_complement,
 )
 from .enumeration import count_norm
-from .intmat import _snf_diagonal, rat_inv
+from .intmat import _rat_inv, _snf_diagonal, intmat
 from .lattice import (
     IntegralLattice,
     _divisors,
@@ -146,12 +146,13 @@ def _lists(x, rows: list) -> list:
 
 def _compute_case(sigma: int, d: int) -> CaseCertificate:
     ambient = _gamma2()
-    emb = LatticeEmbedding(ambient, _case_basis(sigma, d))
+    # unchecked: a dependent basis would put a 0 on the Smith diagonal of the
+    # embedding_primitive witness, and _signature_det raises on its Gram matrix
+    emb = LatticeEmbedding._trusted(ambient, intmat(_case_basis(sigma, d)))
     comp = orthogonal_complement(emb)
     emb_gram = emb.gram()
     comp_lat = comp.sublattice()
-
-    emb_lat = IntegralLattice(emb_gram)
+    emb_lat = emb.sublattice()
     m_lat, n_lat = (emb_lat, comp_lat) if _EMBED_IS_M[sigma] else (comp_lat, emb_lat)
 
     checks = []
@@ -412,7 +413,7 @@ def gamma2_in_k3() -> GlueReport:
     comp_lat = comp.sublattice()
     gamma2 = _gamma2()
     emb_gram = emb.gram()
-    emb_lat = IntegralLattice(emb_gram)
+    emb_lat = emb.sublattice()
 
     checks = [
         Check("embedding_primitive", is_primitive(emb), {}),
@@ -433,12 +434,13 @@ def gamma2_in_k3() -> GlueReport:
     checks.append(Check("complement_even", is_even(comp_lat), {}))
 
     # glue of the pair inside the ambient rank-22 lattice
-    g = glue_data(emb_lat, comp_lat, rat_inv([*emb.basis, *comp.basis]))
+    den, inv = _rat_inv([*emb.basis, *comp.basis])
+    g = glue_data(emb_lat, comp_lat, inv, den)
     checks.append(Check("glue_order", g.order == 2**10, {"order": g.order}))
     checks.append(
         Check(
             "glue_projection_bijective",
-            g.order == abs(discriminant(emb_lat)),
+            g.order == abs(_signature_det(emb_lat)[1]),
             {"glue_order": g.order, "l_gamma2_order": 2**10},
         )
     )

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
-from .intmat import Matrix, _snf_diagonal, det, hnf, intmat, kernel_basis
+from .intmat import Matrix, _hnf, _snf_diagonal, det, hnf, intmat, kernel_basis
 from .lattice import DiscriminantGroup, IntegralLattice, _prime_powers, direct_sum, is_even
 
 
@@ -30,6 +30,13 @@ class LatticeEmbedding:
         self.ambient = ambient
         self.basis = b
 
+    @classmethod
+    def _trusted(cls, ambient: IntegralLattice, basis: Matrix) -> LatticeEmbedding:
+        """Unchecked: the rows of the int Matrix basis are independent ambient vectors."""
+        out = cls.__new__(cls)
+        out.ambient, out.basis = ambient, basis
+        return out
+
     @property
     def rank(self) -> int:
         return self.basis.shape[0]
@@ -41,15 +48,15 @@ class LatticeEmbedding:
         return self.basis @ self.ambient.gram
 
     @cached_property
-    def _gram(self) -> Matrix:
-        return self._basis_gram @ self.basis.T
+    def _lattice(self) -> IntegralLattice:
+        return IntegralLattice(self._basis_gram @ self.basis.T)
 
     def gram(self) -> Matrix:
         """Induced Gram matrix basis . ambient.gram . basis^T, computed once."""
-        return self._gram
+        return self._lattice.gram
 
-    def sublattice(self, label: str | None = None) -> IntegralLattice:
-        return IntegralLattice(self.gram(), label)
+    def sublattice(self) -> IntegralLattice:
+        return self._lattice  # one lattice, so one cached elimination for all callers
 
 
 def is_primitive(e: LatticeEmbedding) -> bool:
@@ -74,12 +81,10 @@ def orthogonal_complement(e: LatticeEmbedding) -> LatticeEmbedding:
     emitted, but the kernel is still returned.
     """
     k = kernel_basis(e._basis_gram.T)
-    if det(e.gram()) == 0:
+    if e.sublattice()._elim[0][-1] == 0:  # the last leading minor is the determinant
         warnings.warn("sublattice is degenerate; complement meets it", stacklevel=2)
-    # rows of a unimodular transform, so independent: skip the check of __init__
-    out = LatticeEmbedding.__new__(LatticeEmbedding)
-    out.ambient, out.basis = e.ambient, k
-    return out
+    # rows of a unimodular transform, so independent
+    return LatticeEmbedding._trusted(e.ambient, k)
 
 
 class Overlattice(IntegralLattice):
@@ -175,39 +180,53 @@ class GlueData:
         return frozenset(self.gamma.values())
 
 
-def glue_data(M: IntegralLattice, N: IntegralLattice, over_basis) -> GlueData:
+def glue_data(M: IntegralLattice, N: IntegralLattice, over_basis, den=None) -> GlueData:
     """Glue group of the overlattice spanned by `over_basis` over M (+) N.
 
     `over_basis` rows express a basis of the overlattice in the coordinates
-    of the orthogonal sum, which must be even.  The glue group must be an
-    isotropic subgroup of its discriminant group, and both projections of
-    it injective (they are exactly when M and N are a primitive pair).
+    of the orthogonal sum, which must be even: rational rows, or, when `den`
+    is given, integer numerators over the nonzero int den (the form
+    intmat._rat_inv returns).  The glue group must be an isotropic subgroup
+    of its discriminant group, and both projections of it injective (they
+    are exactly when M and N are a primitive pair).
     """
     m, n = M.rank, N.rank
     if not (is_even(M) and is_even(N)):
         raise ValueError("M (+) N is odd; the discriminant quadratic form needs an even lattice")
-    rows = [[Fraction(x) for x in row] for row in over_basis]
-    if any(len(r) != m + n for r in rows):
+    if den is None:  # rational rows: numerators over their least common denominator
+        rows = [[Fraction(x) for x in row] for row in over_basis]
+        den = lcm(*(x.denominator for r in rows for x in r))
+        over_basis = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
+    den, rows = index(den), [list(map(index, row)) for row in over_basis]
+    if not den:
+        raise ValueError("glue denominator must be nonzero")
+    c = gcd(den, *(x for r in rows for x in r)) * (-1 if den < 0 else 1)  # the least den > 0
+    den, rows, k = den // c, [[x // c for x in r] for r in rows], m + n
+    if any(len(r) != k for r in rows):
         raise ValueError("over-basis rows must have length rank(M) + rank(N)")
-    # the closure runs on integer numerators over the common denominator den
-    den = lcm(*(x.denominator for r in rows for x in r))
-    gens = [tuple(x.numerator * (den // x.denominator) % den for x in r) for r in rows]
-    # close by cosets: g joins as group + k*g until k*g falls back into group;
-    # the generators that enlarged the group generate it
-    group, kept = {(0,) * (m + n)}, []
-    for g in gens:
-        coset, added = g, []
-        while coset not in group:
-            added += [tuple([(a + b) % den for a, b in zip(x, coset)]) for x in group]
-            coset = tuple((a + b) % den for a, b in zip(coset, g))
-        if added:
-            kept.append(g)
-        group.update(added)
-    elements = sorted(group)
-    if len({e[:m] for e in elements}) != len(group) or len({e[m:] for e in elements}) != len(group):
+    # Hermite basis h_i, pivot p_i on the diagonal, of span(rows) + den Z^k:
+    # the group is every sum of c_i h_i with 0 <= c_i < den / p_i, mod den
+    h = [[x % den for x in r] for r in rows]
+    h += [[den * (i == j) for j in range(k)] for i in range(k)]
+    _hnf(h, [[] for _ in h])
+    h = [r for i, r in enumerate(h[:k]) if r[i] < den]  # the others are den e_i
+    # listed one coordinate column at a time, each as a list over the group;
+    # taking h_1 last makes c_1 vary slowest, so the list is already sorted
+    # (and sorting it a linear pass) when no h_i has an entry in another's
+    # pivot column, as in an elementary group
+    cols, size = [[0] for _ in range(k)], 1
+    for r in reversed(h):
+        o = den // next(filter(None, r))
+        for j, t in enumerate(r):
+            v = cols[j]
+            cols[j] = v + [(x + s) % den for s in range(t, o * t, t) for x in v] if t else o * v
+        size *= o
+    s1 = list(zip(*cols[:m])) or [()] * size  # zip() of no columns is empty
+    s2 = list(zip(*cols[m:])) or [()] * size
+    if len(set(s1)) != size or len(set(s2)) != size:
         raise ValueError("glue projections are not injective; not a primitive pair")
-    _check_glue(direct_sum(M, N).gram, kept, den)
-    return GlueData(den, tuple((e[:m], e[m:]) for e in elements))
+    _check_glue(direct_sum(M, N).gram, h, den)
+    return GlueData(den, tuple(sorted(zip(s1, s2))))
 
 
 def identity_map(v):
@@ -229,10 +248,12 @@ def extends_to(phibar, psibar, g: GlueData) -> bool:
     tuples mod 1.  Every glue element is checked, so the maps need not be
     homomorphisms.
     """
-    den, index = g.den, dict(g.numerators)
+    den, gamma = g.den, dict(g.numerators)
     for a, b in g.numerators:
-        t2 = index.get(tuple([x % den for x in phibar(a)]))
-        if t2 is None or t2 != tuple([x % den for x in psibar(b)]):
+        s1, s2 = phibar(a), psibar(b)
+        # an image as returned is a key only if it is a reduced tuple
+        t2 = type(s1) is tuple and gamma.get(s1) or gamma.get(tuple([x % den for x in s1]))
+        if t2 is None or t2 != s2 and t2 != tuple([x % den for x in s2]):
             return False
     return True
 

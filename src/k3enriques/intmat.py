@@ -253,12 +253,12 @@ def det(m):
     return sign * a[n - 1][n - 1]
 
 
-def rat_inv(m) -> Matrix:
-    """Exact inverse of a square integer matrix, entries as Fractions.
+def _rat_inv(m) -> tuple[int, list[list[int]]]:
+    """(D, rows) with m^-1 = rows / D, D = +-det(m), all Python ints.
 
-    Fraction-free (Bareiss) Gauss-Jordan elimination of [m | I] on Python
-    ints: every division is exact, and it ends at [d*I | d*m^-1] with
-    d = +-det(m).  Singular m raises ZeroDivisionError.
+    Fraction-free (Bareiss) Gauss-Jordan elimination of [m | I]: every
+    division is exact, and it ends at [D*I | D*m^-1].  Singular m raises
+    ZeroDivisionError.
     """
     a, n = _rows(m)
     if len(a) != n:
@@ -280,4 +280,11 @@ def rat_inv(m) -> Matrix:
             elif p != prev:  # f = 0: the update only rescales the row by p / prev
                 a[i] = [p * x // prev for x in a[i]]
         prev = p
-    return _matrix([[Fraction(x, prev) for x in row[n:]] for row in a], n)
+    return prev, [row[n:] for row in a]
+
+
+def rat_inv(m) -> Matrix:
+    """Exact inverse of a square integer matrix, entries as Fractions: the
+    integer inverse _rat_inv divided out."""
+    d, rows = _rat_inv(m)
+    return _matrix([[Fraction(x, d) for x in row] for row in rows], len(rows))

@@ -482,29 +482,30 @@ def _count_kernels(monkeypatch) -> Counter:
 
 
 def test_compute_case_runs_each_kernel_once_per_need(monkeypatch):
-    # _ldl: N and M once each, shared by signature, determinant and, for N,
-    # count_norm; det: the embedding's independence test and the degeneracy
-    # warning; no snf, whose transforms no check reads: the Smith diagonal
-    # for the embedding_primitive witness and N's divisors; @: b b^T for the
-    # embedding's independence, then b G and (b G) b^T per embedding and
-    # complement, shared by the kernel of (b G)^T, the degeneracy warning and
-    # the case's Gram matrices.  The complement's rows come from a unimodular
-    # transform, so no b b^T or det re-proves their independence.
+    # _ldl: N and M once each, shared by signature, determinant, the
+    # degeneracy warning (the embedded lattice's last leading minor) and, for
+    # N, count_norm; no det; no snf, whose transforms no check reads: the
+    # Smith diagonal for the embedding_primitive witness and N's divisors; @:
+    # b G and (b G) b^T per embedding and complement, shared by the kernel of
+    # (b G)^T and the case's Gram matrices.  No b b^T or det proves a basis
+    # independent: the case basis is, as its Smith diagonal shows, and the
+    # complement's rows come from a unimodular transform.
     calls = _count_kernels(monkeypatch)
     for sigma in (2, 3, 4, 5):
         calls.clear()
         assert checker._compute_case(sigma, 999999937).passed
-        assert calls == Counter({"_ldl": 2, "det": 2, "snf": 0, "_snf_diagonal": 2, "@": 5})
+        assert calls == Counter({"_ldl": 2, "det": 0, "snf": 0, "_snf_diagonal": 2, "@": 4})
 
 
 def test_gamma2_in_k3_runs_each_kernel_once_per_need(monkeypatch):
-    # _ldl: the complement's signature and determinant; det: the embedding's
-    # independence test, the degeneracy warning and the two discriminants;
-    # the Smith diagonal: is_primitive and the complement's divisors; @ as
-    # in a case: b b^T, then b G and (b G) b^T per embedding and complement
+    # _ldl: the embedded lattice, shared by the degeneracy warning and its
+    # discriminant, and the complement's signature and determinant; det: the
+    # embedding's independence test and the model's discriminant; the Smith
+    # diagonal: is_primitive and the complement's divisors; @: b b^T, then
+    # b G and (b G) b^T per embedding and complement
     calls = _count_kernels(monkeypatch)
     assert checker.gamma2_in_k3().passed
-    assert calls == Counter({"_ldl": 1, "det": 4, "snf": 0, "_snf_diagonal": 2, "@": 5})
+    assert calls == Counter({"_ldl": 2, "det": 2, "snf": 0, "_snf_diagonal": 2, "@": 5})
 
 
 def _digest(obj) -> str:

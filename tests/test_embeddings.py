@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -251,6 +251,17 @@ def _third(den):
     return lambda v: (F(1, 3),) + tuple(v[1:])
 
 
+def _as_list(den):
+    # the identity as a list: never a glue key as returned
+    return lambda v: list(v)
+
+
+def _den_minus(den):
+    # -v mod den, but den in place of 0: reduced, so a key as returned,
+    # exactly when no numerator is 0
+    return lambda v: tuple(den - x for x in v)
+
+
 # each entry builds a numerator map for the glue denominator den
 GLUE_MAPS = [
     lambda den: identity_map,
@@ -260,6 +271,8 @@ GLUE_MAPS = [
     lambda den: _compose(_shift(den), negation_map),
     _negate_upper,
     _third,
+    _as_list,
+    _den_minus,
 ]
 
 
@@ -309,11 +322,32 @@ def skewed_glue(draw):
     return diag_lattice([2 * k for k in ks]), diag_lattice([2 * l for l in ls]), gens + _units(2 * r)
 
 
-@settings(max_examples=80, deadline=None)
-@given(diagonal_glue(), st.sampled_from(GLUE_MAPS), st.sampled_from(GLUE_MAPS))
-def test_glue_matches_fraction_oracle(glue, phi_at, psi_at):
+def _over_int(over, den: int):
+    """The rational rows of over as integer numerators over den, which every
+    denominator of over divides."""
+    return [[int(F(x) * den) for x in row] for row in over]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(diagonal_glue(), skewed_glue()),
+    st.sampled_from([1, 2, 3, -1, -6]),
+    st.sampled_from(GLUE_MAPS),
+    st.sampled_from(GLUE_MAPS),
+)
+def test_glue_matches_fraction_oracle(glue, scale, phi_at, psi_at):
     M, N, over = glue
+    # the integer entry: numerators over a multiple of the least denominator
+    den = scale * lcm(*(F(x).denominator for row in over for x in row))
+    if not fraction_glue_isotropic(direct_sum(M, N).gram, over):
+        with pytest.raises(ValueError, match="dual lattice|not isotropic") as refused:
+            glue_data(M, N, over)
+        with pytest.raises(ValueError, match="dual lattice|not isotropic") as refused_int:
+            glue_data(M, N, _over_int(over, den), den)
+        assert str(refused.value) == str(refused_int.value)
+        return
     g = glue_data(M, N, over)
+    assert glue_data(M, N, _over_int(over, den), den) == g
     elements = fraction_glue(M.rank, over)
     # the Fraction views are the eager construction of the Fraction glue
     assert g.order == len(elements)

@@ -146,6 +146,25 @@ def test_gamma2_glue_extension_hashes_no_fraction(monkeypatch):
     assert len(g.gamma) == 1024 and hashes
 
 
+def test_gamma2_glue_runs_on_integers(monkeypatch):
+    # the inverse reaches glue_data as integer numerators over its denominator,
+    # through one positional call of the name a caller may patch
+    calls = []
+    computed = checker.glue_data
+    monkeypatch.setattr(
+        checker, "glue_data", lambda *args, **kwargs: calls.append(kwargs) or computed(*args, **kwargs)
+    )
+    built = []
+    fraction_new = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", staticmethod(lambda *a, **k: built.append(1) or fraction_new(*a, **k))
+    )
+    assert checker.gamma2_in_k3().passed
+    assert not built and calls == [{}]
+    # the counter sees construction
+    assert Fraction(1, 2) and built
+
+
 def test_gamma2_glue_extension_builds_no_fraction(monkeypatch):
     kept = []
     computed = checker.glue_data
