@@ -21,15 +21,13 @@ from .checker import (
 from .embeddings import (
     GlueData,
     LatticeEmbedding,
-    coprime_complement_disc,
     extends_to,
     glue_data,
     is_primitive,
     orthogonal_complement,
     overlattice,
-    saturate,
 )
-from .enumeration import ShortVectorReport, count_norm, min_norm, short_vectors
+from .enumeration import ShortVectorReport, count_norm, short_vectors
 from .intmat import Matrix, det, hnf, intmat, kernel_basis, snf
 from .lattice import (
     DiscriminantGroup,

@@ -63,15 +63,12 @@ EVEN_SIGMA_RESIDUE_NOTE = (
 )
 
 
-def gamma2_ambient() -> IntegralLattice:
+@lru_cache(maxsize=1)  # the one ambient of every case, built on first use; never changed
+def _gamma2() -> IntegralLattice:
     """The rank-10 ambient U(2) + E8(2) on the basis x, y, e1..e8."""
     amb = direct_sum(twist(builtin("U"), 2), twist(builtin("E8"), 2))
     amb.label = "U(2)+E8(2)"
     return amb
-
-
-# the one ambient of every case computation, built on first use; never changed
-_gamma2 = lru_cache(maxsize=1)(gamma2_ambient)
 
 
 def _case_basis(sigma: int, d: int):
@@ -408,7 +405,8 @@ def gamma2_in_k3() -> GlueReport:
     basis[1][1] = basis[1][3] = 1  # Y
     for i in range(8):
         basis[2 + i][6 + i] = basis[2 + i][14 + i] = 1
-    emb = LatticeEmbedding(lam, basis)
+    # independence is decided by the embedding_primitive Smith diagonal below
+    emb = LatticeEmbedding._trusted(lam, intmat(basis))
     comp = orthogonal_complement(emb)
     comp_lat = comp.sublattice()
     gamma2 = _gamma2()
@@ -426,7 +424,7 @@ def gamma2_in_k3() -> GlueReport:
     ]
     sig, dc = _signature_det(comp_lat)
     checks.append(Check("complement_signature", sig == (2, 10), {"signature": list(sig)}))
-    model = direct_sum(direct_sum(builtin("U"), twist(builtin("U"), 2)), twist(builtin("E8"), 2))
+    model = direct_sum(builtin("U"), twist(builtin("U"), 2), twist(builtin("E8"), 2))
     dm = discriminant(model)
     checks.append(Check("complement_discriminant", dc == dm, {"computed": dc, "model": dm}))
     divs = _divisors(comp_lat)

@@ -2,8 +2,10 @@
 
 An embedding is presented by a basis matrix whose rows are the images of the
 sublattice basis in ambient coordinates.  Overlattices are built from isotropic
-glue vectors in the discriminant group (the Nikulin correspondence), and the
-glue isomorphism decides when an isometry of an orthogonal pair extends.
+glue vectors in the discriminant group (the Nikulin correspondence).  The glue
+group of an orthogonal pair is listed as integer numerators over one
+denominator, and its isomorphism S1 -> S2 decides when an isometry of the pair
+extends.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from math import gcd, lcm
 from operator import index, mul
 
 from .intmat import Matrix, _hnf, _snf_diagonal, det, hnf, intmat, kernel_basis
-from .lattice import DiscriminantGroup, IntegralLattice, _prime_powers, direct_sum, is_even
+from .lattice import IntegralLattice, direct_sum, is_even
 
 
 class LatticeEmbedding:
@@ -64,19 +66,10 @@ def is_primitive(e: LatticeEmbedding) -> bool:
     return all(x == 1 for x in _snf_diagonal(e.basis))
 
 
-def saturate(e: LatticeEmbedding) -> LatticeEmbedding:
-    """The primitive sublattice with the same rational span.
-
-    The saturated kernel of the right kernel of the basis: the integer
-    vectors orthogonal to every x with basis @ x = 0.
-    """
-    return LatticeEmbedding(e.ambient, kernel_basis(kernel_basis(e.basis.T).T))
-
-
 def orthogonal_complement(e: LatticeEmbedding) -> LatticeEmbedding:
     """All ambient vectors pairing to zero with the sublattice.
 
-    Computed as the saturated kernel of ambient.gram @ basis^T; for a
+    Computed as the primitive integer kernel of ambient.gram @ basis^T; for a
     degenerate sublattice the kernel meets the sublattice and a warning is
     emitted, but the kernel is still returned.
     """
@@ -147,10 +140,9 @@ class GlueData:
     den        -- the common denominator of the glue coordinates
     numerators -- sorted (a, b) int tuples mod den, one per glue element
                   (a/den, b/den): a on l(M), b on l(N)
-    Fraction views, built on first use in the order of numerators:
-    elements -- the (s1, s2) pairs, s1 in l(M) and s2 in l(N), mod 1
-    gamma    -- the glue isomorphism S1 -> S2 as a dict on all of S1
-    s1_group, s2_group -- its domain and image
+    elements   -- the same pairs as Fractions mod 1, s1 in l(M) and s2 in
+                  l(N), built on first use in the order of numerators; as a
+                  dict it is the glue isomorphism S1 -> S2
     """
 
     den: int
@@ -166,18 +158,6 @@ class GlueData:
         return tuple(
             (tuple(frac[k] for k in a), tuple(frac[k] for k in b)) for a, b in self.numerators
         )
-
-    @cached_property
-    def gamma(self) -> dict:
-        return dict(self.elements)
-
-    @cached_property
-    def s1_group(self) -> frozenset:
-        return frozenset(self.gamma)
-
-    @cached_property
-    def s2_group(self) -> frozenset:
-        return frozenset(self.gamma.values())
 
 
 def glue_data(M: IntegralLattice, N: IntegralLattice, over_basis, den=None) -> GlueData:
@@ -256,59 +236,3 @@ def extends_to(phibar, psibar, g: GlueData) -> bool:
         if t2 is None or t2 != s2 and t2 != tuple([x % den for x in s2]):
             return False
     return True
-
-
-def coprime_complement_disc(
-    dg_M: DiscriminantGroup, dg_L: DiscriminantGroup
-) -> DiscriminantGroup:
-    """Discriminant form of a primitive complement with coprime discriminants.
-
-    For a primitive sublattice whose discriminant is coprime to the ambient
-    one, the complement's torsion form is the direct sum of the sublattice's
-    form (sign-reversed here, matching the orthogonal-complement convention
-    recorded in certificates) and the ambient form.  Divisors are split into
-    prime powers, and the components come in ascending prime-power order.
-    """
-    if gcd(dg_M.order, dg_L.order) != 1:
-        raise ValueError(
-            f"discriminant orders {dg_M.order} and {dg_L.order} are not coprime"
-        )
-    lm = len(dg_M.generators[0]) if dg_M.generators else 0
-    ll = len(dg_L.generators[0]) if dg_L.generators else 0
-    zero_m, zero_l = (Fraction(0),) * lm, (Fraction(0),) * ll
-
-    comps = []  # (order, padded gen, qval, source index or None)
-    for i, (d, g, q) in enumerate(zip(dg_M.divisors, dg_M.generators, dg_M.qvals)):
-        comps.append((d, tuple(g) + zero_l, -q % 2, ("M", i)))
-    for i, (d, g, q) in enumerate(zip(dg_L.divisors, dg_L.generators, dg_L.qvals)):
-        comps.append((d, zero_m + tuple(g), q % 2, ("L", i)))
-
-    # split into prime-power components, canonical order
-    split = []
-    for d, g, q, src in comps:
-        for pe in _prime_powers(d):
-            a = d // pe
-            gen = tuple(a * x % 1 for x in g)
-            split.append((pe, gen, a * a * q % 2, src, a))
-    split.sort(key=lambda c: (c[0], c[1]))
-
-    def b_source(si, ai, sj, aj):
-        side_i, i = si
-        side_j, j = sj
-        if side_i != side_j:
-            return Fraction(0)
-        base = dg_M.bform[i][j] if side_i == "M" else dg_L.bform[i][j]
-        val = ai * aj * base
-        if side_i == "M":
-            val = -val
-        return val % 1
-
-    bform = tuple(
-        tuple(b_source(ci[3], ci[4], cj[3], cj[4]) for cj in split) for ci in split
-    )
-    return DiscriminantGroup(
-        tuple(c[0] for c in split),
-        tuple(c[1] for c in split),
-        bform,
-        tuple(c[2] for c in split),
-    )

@@ -88,16 +88,6 @@ def short_vectors(L: IntegralLattice, bound: int) -> ShortVectorReport:
     return ShortVectorReport(bound, tuple(ordered), min_norm, counts)
 
 
-def min_norm(L: IntegralLattice) -> int:
-    """Signed norm of smallest absolute value among nonzero vectors."""
-    if L.rank < 1:
-        raise ValueError("minimum norm needs rank >= 1")
-    start = min(map(abs, L.gram.diagonal()))
-    report = short_vectors(L, start)
-    assert report.min_norm is not None  # a basis vector attains `start`
-    return report.min_norm
-
-
 def count_norm(L: IntegralLattice, t: int) -> int:
     """Number of vectors of exact norm t."""
     if t == 0:

@@ -223,7 +223,7 @@ def _snf_diagonal(m) -> list[int]:
 
 
 def kernel_basis(m) -> Matrix:
-    """Basis of the saturated left integer kernel {x : x @ m = 0} (rows)."""
+    """Basis (rows) of the left integer kernel {x : x @ m = 0}, a primitive sublattice."""
     a, _ = _rows(m)
     u = _hnf(a, _eye(len(a)))
     return _matrix([x for h, x in zip(a, u) if not any(h)], len(a))

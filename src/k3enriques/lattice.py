@@ -73,9 +73,7 @@ def builtin(name: str) -> IntegralLattice:
         L.label = "Gamma"
         return L
     if name == "LambdaK3":
-        L = builtin("U")
-        for part in ("U", "U", "E8", "E8"):
-            L = direct_sum(L, builtin(part))
+        L = direct_sum(*map(builtin, ("U", "U", "U", "E8", "E8")))
         L.label = "LambdaK3"
         return L
     raise ValueError(f"unknown builtin lattice {name!r}")
@@ -98,10 +96,13 @@ def twist(L: IntegralLattice, n: int) -> IntegralLattice:
     return IntegralLattice([[n * x for x in row] for row in L.gram], label)
 
 
-def direct_sum(L1: IntegralLattice, L2: IntegralLattice) -> IntegralLattice:
-    """Orthogonal direct sum, block-diagonal Gram."""
-    z1, z2 = (0,) * L1.rank, (0,) * L2.rank
-    return IntegralLattice([r + z2 for r in L1.gram] + [z1 + r for r in L2.gram])
+def direct_sum(*lattices: IntegralLattice) -> IntegralLattice:
+    """Orthogonal direct sum of any number of lattices, block-diagonal Gram."""
+    n, rows, left = sum(L.rank for L in lattices), [], 0
+    for L in lattices:
+        rows += [(0,) * left + r + (0,) * (n - left - L.rank) for r in L.gram]
+        left += L.rank
+    return IntegralLattice(rows)
 
 
 def discriminant(L: IntegralLattice):
@@ -214,9 +215,7 @@ def _prime_factors(n: int) -> list[int]:
 class DiscriminantGroup:
     """The finite group L*/L with its torsion bilinear and quadratic forms.
 
-    divisors   -- orders of the generators (> 1); divisor-chain order when
-                  produced by discriminant_group, prime-power order when
-                  produced by a formal direct sum.
+    divisors   -- orders of the generators (> 1), in divisor-chain order
     generators -- coset representatives in L (x) Q, coordinates mod 1 in [0,1)
     bform      -- matrix of b(g_i, g_j) values, reduced mod 1 into [0,1)
     qvals      -- q(g_i) values, reduced mod 2 into [0,2)

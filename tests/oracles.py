@@ -5,9 +5,11 @@ expansion, invariant factors from gcds of minors, Hermite forms by plain
 column-at-a-time reduction, signatures by Fraction diagonalization, short
 vectors by exhaustive box enumeration, inverses by Gauss-Jordan in
 Fractions, glue groups by closure in Fractions mod 1, and primality and
-factorization by trial division.  The one exception is
-full_ball_short_vectors: it keeps the whole-ball search that short_vectors
-ran before it searched half the ball, so that whole reports can be compared.
+factorization by trial division.  There are two exceptions.
+full_ball_short_vectors keeps the whole-ball search that short_vectors ran
+before it searched half the ball, so that whole reports can be compared.
+saturation is the double integer kernel of the library's kernel_basis, the
+construction the package used to export as embeddings.saturate.
 """
 from fractions import Fraction
 from itertools import combinations, product
@@ -17,6 +19,7 @@ from operator import mul
 import numpy as np
 
 from k3enriques.enumeration import ShortVectorReport
+from k3enriques.intmat import kernel_basis
 from k3enriques.lattice import _ldl
 
 
@@ -180,6 +183,12 @@ def fraction_inv(m):
             if i != col and a[i][col] != 0:
                 a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[col])]
     return [row[n:] for row in a]
+
+
+def saturation(basis):
+    """Basis rows of the primitive lattice with the rational span of `basis`:
+    the integer vectors orthogonal to every x with basis @ x = 0."""
+    return kernel_basis(kernel_basis(basis.T).T)
 
 
 def fraction_glue(m, over_basis):

@@ -500,12 +500,13 @@ def test_compute_case_runs_each_kernel_once_per_need(monkeypatch):
 def test_gamma2_in_k3_runs_each_kernel_once_per_need(monkeypatch):
     # _ldl: the embedded lattice, shared by the degeneracy warning and its
     # discriminant, and the complement's signature and determinant; det: the
-    # embedding's independence test and the model's discriminant; the Smith
-    # diagonal: is_primitive and the complement's divisors; @: b b^T, then
-    # b G and (b G) b^T per embedding and complement
+    # model's discriminant (the embedding's independence is read off the
+    # Smith diagonal of is_primitive); the Smith diagonal: is_primitive and
+    # the complement's divisors; @: b G and (b G) b^T per embedding and
+    # complement
     calls = _count_kernels(monkeypatch)
     assert checker.gamma2_in_k3().passed
-    assert calls == Counter({"_ldl": 2, "det": 2, "snf": 0, "_snf_diagonal": 2, "@": 5})
+    assert calls == Counter({"_ldl": 2, "det": 1, "snf": 0, "_snf_diagonal": 2, "@": 4})
 
 
 def _digest(obj) -> str:

@@ -84,6 +84,14 @@ def test_direct_sum():
     assert direct_sum(builtin("U"), empty) == builtin("U")
 
 
+def test_direct_sum_is_variadic():
+    assert direct_sum().rank == 0
+    e8 = builtin("E8")
+    assert direct_sum(e8).gram == e8.gram
+    a, b, c = builtin("U"), twist(e8, 2), diag_lattice([3, -5])
+    assert direct_sum(a, b, c) == direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
+
+
 def test_signature_examples():
     assert signature(builtin("E8")) == (0, 8)
     gamma2 = twist(direct_sum(builtin("U"), builtin("E8")), 2)
