@@ -71,6 +71,13 @@ def _gamma2() -> IntegralLattice:
     return amb
 
 
+@lru_cache(maxsize=1)  # package constants, as _gamma2: built once, never changed
+def _lambda_k3() -> tuple[IntegralLattice, int]:
+    """LambdaK3 and the discriminant of U + U(2) + E8(2), gamma2's model complement in it."""
+    model = direct_sum(builtin("U"), twist(builtin("U"), 2), twist(builtin("E8"), 2))
+    return builtin("LambdaK3"), discriminant(model)
+
+
 def _case_basis(sigma: int, d: int):
     """Rows of the embedded basis in ambient coordinates (x, y, e1..e8)."""
     b = [[0] * 10 for _ in range(_EMBED_RANK[sigma])]
@@ -399,7 +406,7 @@ def gamma2_in_k3() -> GlueReport:
     across the two E8 blocks; the complement's invariants are compared with
     U + U(2) + E8(2) and the glue group of the pair must have order 2^10.
     """
-    lam = builtin("LambdaK3")
+    lam, dm = _lambda_k3()
     basis = [[0] * 22 for _ in range(10)]
     basis[0][0] = basis[0][2] = 1  # X across the first two hyperbolic planes
     basis[1][1] = basis[1][3] = 1  # Y
@@ -424,8 +431,6 @@ def gamma2_in_k3() -> GlueReport:
     ]
     sig, dc = _signature_det(comp_lat)
     checks.append(Check("complement_signature", sig == (2, 10), {"signature": list(sig)}))
-    model = direct_sum(builtin("U"), twist(builtin("U"), 2), twist(builtin("E8"), 2))
-    dm = discriminant(model)
     checks.append(Check("complement_discriminant", dc == dm, {"computed": dc, "model": dm}))
     divs = _divisors(comp_lat)
     checks.append(Check("complement_divisors", divs == [2] * 10, {"divisors": divs}))

@@ -66,9 +66,7 @@ def _cmd_lattice(args) -> int:
         return 0
     report = short_vectors(L, abs(args.norm))
     hits = [v for v, nm in report.vectors if nm == args.norm]
-    print(f"count: {len(hits)}")
-    for v in hits:
-        print(" ".join(str(x) for x in v))
+    print("\n".join([f"count: {len(hits)}", *(" ".join(map(str, v)) for v in hits)]))
     return 0
 
 

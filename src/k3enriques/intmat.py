@@ -172,22 +172,26 @@ def hnf(m) -> tuple[Matrix, Matrix]:
     return _matrix(a, c), _matrix(u, len(a))
 
 
-def _snf(m, eye=_eye) -> tuple:
-    """The rows of snf's S, its column count c, and the rows of U and V^T,
-    started as eye(r) and eye(c).  Row and column Hermite forms alternate
-    until the matrix is diagonal (Kannan-Bachem), which keeps entries and
-    transforms small; a gcd/lcm pass over the diagonal then restores the
-    chain.  The row passes act on U and the column passes, as row passes on
-    the transpose, on V^T."""
-    a, c = _rows(m)
+def _is_diagonal(a: list[list[int]]) -> bool:
+    return not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a))
+
+
+def _snf(a: list[list[int]], c: int, eye=_eye) -> tuple:
+    """The int rows a with c columns, made snf's S in place; returns a, c
+    and the rows of U and V^T, started as eye(r) and eye(c).  Row and column
+    Hermite forms alternate, acting on U and (as row passes on the
+    transpose) V^T, until a pass leaves a diagonal (Kannan-Bachem), which
+    keeps entries and transforms small; a gcd/lcm pass restores the chain."""
     r = len(a)
     u, vt = eye(r), eye(c)
     while r and c:
         _hnf(a, u)
+        if _is_diagonal(a):
+            break
         a = list(map(list, zip(*a)))
         _hnf(a, vt)
         a = list(map(list, zip(*a)))
-        if not any(a[i][j] for i in range(r) for j in range(c) if i != j):
+        if _is_diagonal(a):
             break
     # Hermite forms put zero rows last, so a zero p is followed by zeros only
     k = min(r, c)
@@ -196,15 +200,16 @@ def _snf(m, eye=_eye) -> tuple:
             p, q = a[i][i], a[j][j]
             if p == 0 or q % p == 0:
                 continue
-            # [s t; -q/g p/g] diag(p, q) [1 -t*q/g; 1 s*p/g] = diag(g, p*q/g)
             g = gcd(p, q)
-            s = pow(p // g, -1, q // g)
-            t = (g - s * p) // q
-            ui, uj, vi, vj = u[i], u[j], vt[i], vt[j]
-            u[i] = [s * x + t * y for x, y in zip(ui, uj)]
-            u[j] = [p // g * y - q // g * x for x, y in zip(ui, uj)]
-            vt[i] = [x + y for x, y in zip(vi, vj)]
-            vt[j] = [s * p // g * y - t * q // g * x for x, y in zip(vi, vj)]
+            if u[i]:  # the zero-width rows of _snf_diagonal have no Bezout step
+                # [s t; -q/g p/g] diag(p, q) [1 -t*q/g; 1 s*p/g] = diag(g, p*q/g)
+                s = pow(p // g, -1, q // g)
+                t = (g - s * p) // q
+                ui, uj, vi, vj = u[i], u[j], vt[i], vt[j]
+                u[i] = [s * x + t * y for x, y in zip(ui, uj)]
+                u[j] = [p // g * y - q // g * x for x, y in zip(ui, uj)]
+                vt[i] = [x + y for x, y in zip(vi, vj)]
+                vt[j] = [s * p // g * y - t * q // g * x for x, y in zip(vi, vj)]
             a[i][i], a[j][j] = g, p // g * q
     return a, c, u, vt
 
@@ -212,13 +217,16 @@ def _snf(m, eye=_eye) -> tuple:
 def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form: (S, U, V) with U, V unimodular and U @ m @ V = S
     diagonal, its entries nonnegative and in the divisor chain d1 | d2 | ..."""
-    a, c, u, vt = _snf(m)
+    a, c, u, vt = _snf(*_rows(m))
     return _matrix(a, c), _matrix(u, len(a)), _matrix(list(map(list, zip(*vt))), c)
 
 
 def _snf_diagonal(m) -> list[int]:
-    """The diagonal of snf(m)[0], from the same passes on zero-width U and V^T."""
-    a, c, _, _ = _snf(m, lambda n: [[] for _ in range(n)])
+    """The diagonal of snf(m)[0], from snf's passes on zero-width U and V^T."""
+    a, c = _rows(m)
+    if len(a) < c:  # m^T has the same Smith diagonal: start on the longer side
+        a, c = list(map(list, zip(*a))), len(a)
+    a, c, _, _ = _snf(a, c, lambda n: [[] for _ in range(n)])
     return [row[i] for i, row in zip(range(c), a)]
 
 

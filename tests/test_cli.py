@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -56,6 +57,16 @@ def test_lattice_roots(capsys):
     assert main(["lattice", "roots", str(fixture_path("E8")), "--norm", "-2"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("count: 240")
+
+
+def test_lattice_roots_output_pinned(capsys):
+    # the count line and the 240 roots, as one print per line wrote them
+    assert main(["lattice", "roots", str(fixture_path("E8")), "--norm", "-2"]) == 0
+    out = capsys.readouterr().out
+    digest = "d369a274e64c89c0197569cd74eb635454ef8d9e46a9dc6dcb8b574b4658bbc1"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert main(["lattice", "roots", str(fixture_path("E8_2")), "--norm", "-2"]) == 0
+    assert capsys.readouterr() == ("count: 0\n", "")
 
 
 def test_lattice_roots_indefinite_is_usage_error(capsys):

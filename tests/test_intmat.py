@@ -1,3 +1,6 @@
+import hashlib
+import importlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3enriques.checker import build_case
 from k3enriques.embeddings import LatticeEmbedding
 from k3enriques.intmat import Matrix, _snf_diagonal, det, hnf, intmat, kernel_basis, rat_inv, snf
 from k3enriques.lattice import _E8_GRAM, IntegralLattice, builtin, diag_lattice, twist
@@ -287,3 +291,51 @@ def test_int_row_kernels_against_oracles(m):
     assert k.shape == (r - rank, r)
     assert not any((k @ m).flat)
     assert all(x == 1 for x in snf(k)[0].diagonal())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_matrices())
+def test_snf_diagonal_of_transpose(m):
+    assert _snf_diagonal(m) == _snf_diagonal(m.T)
+
+
+def test_diagonal_hermite_form_takes_one_pass(monkeypatch):
+    # unimodular Gram matrices have the identity as row Hermite form, and a
+    # diagonal matrix one with its signs dropped: no column pass follows
+    intmat_module = importlib.import_module("k3enriques.intmat")
+    passes, hermite = [], intmat_module._hnf
+    monkeypatch.setattr(intmat_module, "_hnf", lambda a, u: passes.append(a) or hermite(a, u))
+    diagonal = intmat([[-3, 0, 0], [0, 5, 0], [0, 0, 0]])
+    for m in (builtin("E8").gram, builtin("LambdaK3").gram, diagonal):
+        for kernel in (snf, _snf_diagonal):
+            passes.clear()
+            kernel(m)
+            assert len(passes) == 1
+    assert snf(diagonal)[0].diagonal() == (1, 15, 0)
+
+
+def _snf_digest(m) -> str:
+    s, u, v = snf(m)
+    return hashlib.sha256(json.dumps([s.tolist(), u.tolist(), v.tolist()]).encode()).hexdigest()
+
+
+def test_snf_transforms_pinned():
+    # S, U and V as snf returned them when the diagonal check ran only after
+    # a row and a column pass: checking after every pass changes no transform
+    gamma2_basis = [[0] * 22 for _ in range(10)]
+    gamma2_basis[0][0] = gamma2_basis[0][2] = gamma2_basis[1][1] = gamma2_basis[1][3] = 1
+    for i in range(8):
+        gamma2_basis[2 + i][6 + i] = gamma2_basis[2 + i][14 + i] = 1
+    rng = random.Random(20)
+    digests = {
+        "E8": _snf_digest(builtin("E8").gram),
+        "N": _snf_digest(build_case(2, 999999937).complement_gram),
+        "gamma2_basis": _snf_digest(gamma2_basis),
+        "random_6x9": _snf_digest([[rng.randint(-9, 9) for _ in range(9)] for _ in range(6)]),
+    }
+    assert digests == {
+        "E8": "af89290a1ff686bed973818f8b84919c2330d8cdf9bd9fdcde8917e23e6bb007",
+        "N": "e795dde604f1cb2e11ba9821766e6fb0a0e56287ead2cf30a0473afa5090414f",
+        "gamma2_basis": "43b5dd8b6326d0c7bcc0e23086a8a5cd98eaa352c6d278c38bd4188202170ff2",
+        "random_6x9": "e227039cd808daa52ec31c54f55654052828e15e4108da9955fd340e3af3ead4",
+    }
