@@ -528,6 +528,15 @@ def test_certificate_digests_pinned():
     assert _digest(certs) == "62af0c776a8769a15a23e0141b8550244a24df87df1bda6eba47bc7efc374536"
 
 
+def test_verdict_digests_pinned():
+    # p = 3 and 1 mod 4 (arth_rule False at sigma 2 and 4), and 23, where
+    # sigma 2 and 4 are Unknown; pins reasons, crosschecks and certificates
+    docs = [decide_enriques(p, s).to_doc() for p in (1000003, 1000033, 23) for s in range(1, 11)]
+    assert _digest(docs) == "e3270289f1338a0e7dd6666bd38e6ef6123fbea3f479edb1b767ae1b938d359a"
+    csv_digest = hashlib.sha256(survey(200).to_csv().encode()).hexdigest()
+    assert csv_digest == "eb1d3b2eb897945e2683a8730b35f6b407632c02e7b588c78e59b879babb3a31"
+
+
 def test_gamma2_report_digest_pinned(gamma2_report):
     r = gamma2_report
     doc = {
