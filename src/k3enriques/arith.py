@@ -18,6 +18,8 @@ from itertools import count
 
 K3_RANK = 22
 HODGE_SLOPES = ((Fraction(0), 1), (Fraction(1), 20), (Fraction(2), 1))
+_SIGMAS = range(1, 11)  # the Artin invariants of supersingular K3 surfaces
+_MAX_ARTIN = 5  # the largest Artin invariant of a K3 surface covering an Enriques surface
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -177,7 +179,7 @@ def _legendre(a: int, p: int) -> int:
 
 def arth(p: int, sigma: int, d: int) -> bool:
     """The non-square obstruction: ((-1)^(sigma+1) d / p) = -1."""
-    if not 1 <= sigma <= 10:
+    if sigma not in _SIGMAS:
         raise ValueError("sigma must be in 1..10")
     if d == 0:
         raise ValueError("d must be nonzero")
@@ -194,10 +196,10 @@ def _arth(p: int, sigma: int, d: int) -> bool:
 def find_d(p: int, sigma: int) -> int | None:
     """Smallest d with 0 < 8d < p and the residue class required for sigma.
 
-    -d must be a square mod p for sigma in {2, 4} and a non-square for
-    sigma in {3, 5}; returns None when no d below p/8 qualifies.
+    -d must be a square mod p for even sigma and a non-square for odd sigma;
+    returns None when no d below p/8 qualifies.
     """
-    if sigma not in (2, 3, 4, 5):
+    if sigma not in range(2, _MAX_ARTIN + 1):
         raise ValueError("sigma must be in 2..5")
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
@@ -207,7 +209,7 @@ def find_d(p: int, sigma: int) -> int | None:
 def _find_d(p: int, sigma: int) -> int | None:
     """find_d for a p already known to be an odd prime."""
     # Euler's criterion for -d; d < p / 8, so p never divides d
-    want = 1 if sigma in (2, 4) else p - 1
+    want = _minus_d_class(sigma) % p
     half = (p - 1) // 2
     d = 1
     while 8 * d < p:
@@ -215,6 +217,11 @@ def _find_d(p: int, sigma: int) -> int | None:
             return d
         d += 1
     return None
+
+
+def _minus_d_class(sigma: int) -> int:
+    """The Legendre symbol (-d/p) that the d-search asks for: 1 iff sigma is even."""
+    return (-1) ** sigma
 
 
 def verify_norm_bound(p: int, d: int) -> bool:
@@ -245,7 +252,7 @@ def frobenius_bounds_enriques() -> FrobeniusBounds:
     assert K3_RANK - 2 * 6 >= 10 > K3_RANK - 2 * 7
     return FrobeniusBounds(
         max_height=6,
-        max_artin=5,
+        max_artin=_MAX_ARTIN,
         height_reason="slope-1 multiplicity 22 - 2h >= 10 forces h <= 6",
         artin_reason="rank 22 - 2*sigma >= 10 plus the sigma = 6 square obstruction",
     )
@@ -286,8 +293,6 @@ def newton_slopes(h) -> NewtonPolygon:
         raise ValueError(
             f"height {h} rejected: slope-1 multiplicity 22 - 2h = {K3_RANK - 2 * h} <= 0"
         )
-    if h == 1:
-        return NewtonPolygon(((Fraction(0), 1), (Fraction(1), 20), (Fraction(2), 1)))
     return NewtonPolygon(
         (
             (Fraction(h - 1, h), h),

@@ -18,7 +18,17 @@ from functools import lru_cache
 from itertools import chain
 from math import isqrt
 
-from .arith import _arth, _find_d, _legendre, is_odd_prime, verify_norm_bound
+from .arith import (
+    _MAX_ARTIN,
+    _SIGMAS,
+    K3_RANK,
+    _arth,
+    _find_d,
+    _legendre,
+    _minus_d_class,
+    is_odd_prime,
+    verify_norm_bound,
+)
 from .embeddings import (
     LatticeEmbedding,
     glue_data,
@@ -39,16 +49,22 @@ from .lattice import (
     twist,
 )
 
-# complement side that must be root-free is the embedded lattice for
-# sigma in {4, 5} and the computed complement for sigma in {2, 3}
-_EMBED_IS_M = {2: True, 3: True, 4: False, 5: False}
-_EMBED_RANK = {2: 2, 3: 4, 4: 4, 5: 2}
-_DT_POWER = {2: 2, 3: 4, 4: 5, 5: 5}
-_N_DIVISOR_FORMULA = {
-    2: lambda d: [4 * d, 4] + [2] * 6,
-    3: lambda d: [4 * d, 4, 4, 4, 2, 2],
-    4: lambda d: [4 * d, 4, 4, 4],
-    5: lambda d: [4 * d, 4],
+
+@dataclass(frozen=True)
+class _Case:
+    """The construction for one sigma; the embedded side is M if d_sign is 1, else N."""
+
+    d_sign: int  # the first embedded row is x + d_sign*d*y
+    e_columns: tuple  # the ambient column of each further row e_i, e1 being column 2
+    dt_power: int  # the discriminant of U + M is 4^dt_power * d
+    n_divisors: tuple  # N's divisors besides 4d
+
+
+_CASES = {
+    2: _Case(1, (2,), 2, (4, 2, 2, 2, 2, 2, 2)),
+    3: _Case(1, (2, 4, 7), 4, (4, 4, 4, 2, 2)),
+    4: _Case(-1, (2, 4, 7), 5, (4, 4, 4)),
+    5: _Case(-1, (2,), 5, (4,)),
 }
 
 SIGN_CONVENTION_NOTE = (
@@ -78,16 +94,10 @@ def _lambda_k3() -> tuple[IntegralLattice, int]:
     return builtin("LambdaK3"), discriminant(model)
 
 
-def _case_basis(sigma: int, d: int):
+def _case_basis(case: _Case, d: int):
     """Rows of the embedded basis in ambient coordinates (x, y, e1..e8)."""
-    b = [[0] * 10 for _ in range(_EMBED_RANK[sigma])]
-    b[0][0] = 1
-    b[0][1] = d if sigma in (2, 3) else -d
-    b[1][2] = 1  # e1
-    if sigma in (3, 4):
-        b[2][4] = 1  # e3
-        b[3][7] = 1  # e6
-    return b
+    rows = [[0] * c + [1] + [0] * (9 - c) for c in case.e_columns]
+    return [[1, case.d_sign * d] + [0] * 8, *rows]
 
 
 @dataclass(frozen=True)
@@ -149,15 +159,16 @@ def _lists(x, rows: list) -> list:
 
 
 def _compute_case(sigma: int, d: int) -> CaseCertificate:
+    case = _CASES[sigma]
     ambient = _gamma2()
     # unchecked: a dependent basis would put a 0 on the Smith diagonal of the
     # embedding_primitive witness, and _signature_det raises on its Gram matrix
-    emb = LatticeEmbedding._trusted(ambient, intmat(_case_basis(sigma, d)))
+    emb = LatticeEmbedding._trusted(ambient, intmat(_case_basis(case, d)))
     comp = orthogonal_complement(emb)
     emb_gram = emb.gram()
     comp_lat = comp.sublattice()
     emb_lat = emb.sublattice()
-    m_lat, n_lat = (emb_lat, comp_lat) if _EMBED_IS_M[sigma] else (comp_lat, emb_lat)
+    m_lat, n_lat = (emb_lat, comp_lat) if case.d_sign == 1 else (comp_lat, emb_lat)
 
     checks = []
 
@@ -170,8 +181,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
         )
     )
 
-    lead = 4 * d if sigma in (2, 3) else -4 * d
-    expected_diag = [lead] + [-4] * (emb.rank - 1)
+    expected_diag = [4 * case.d_sign * d] + [-4] * (emb.rank - 1)
     diag_ok = all(
         x == (expected_diag[i] if i == j else 0)
         for i, row in enumerate(emb_gram)
@@ -186,13 +196,12 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
     )
 
     n_rank_expected = 12 - 2 * sigma
-    m_rank_expected = 2 * sigma - 2 if not _EMBED_IS_M[sigma] else _EMBED_RANK[sigma]
     checks.append(
         Check(
             "complement_rank",
             comp.rank == 10 - emb.rank
             and n_lat.rank == n_rank_expected
-            and m_lat.rank == m_rank_expected,
+            and m_lat.rank == 2 * sigma - 2,
             {
                 "complement_rank": comp.rank,
                 "n_rank": n_lat.rank,
@@ -240,7 +249,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
     )
 
     n_divs = _divisors(n_lat)
-    formula = _N_DIVISOR_FORMULA[sigma](d)
+    formula = [4 * d, *case.n_divisors]
     pp = {x: _prime_powers(x) for x in {*n_divs, *formula}}
     n_pp = sorted(q for x in n_divs for q in pp[x])
     formula_pp = sorted(q for x in formula for q in pp[x])
@@ -258,7 +267,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
     )
 
     dt = -m_det  # the discriminant of U + M, as det U = -1
-    dt_expected = 4 ** _DT_POWER[sigma] * d
+    dt_expected = 4**case.dt_power * d
     checks.append(
         Check(
             "transcendental_disc",
@@ -278,21 +287,12 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
 
     # index of N + Gamma(2) inside the rank-22 Neron-Severi overlattice
     idx_sq_num = d_n * 1024
-    idx_ok = (
-        dns != 0
-        and idx_sq_num % abs(dns) == 0
-        and _is_square(idx_sq_num // abs(dns))
-    )
-    checks.append(
-        Check(
-            "glue_index_integral",
-            idx_ok,
-            {"d_n": d_n, "index_squared": idx_sq_num // abs(dns) if dns else None},
-        )
-    )
+    idx_sq = idx_sq_num // abs(dns) if dns else None
+    idx_ok = dns != 0 and idx_sq_num % abs(dns) == 0 and 0 <= idx_sq == isqrt(idx_sq) ** 2
+    checks.append(Check("glue_index_integral", idx_ok, {"d_n": d_n, "index_squared": idx_sq}))
 
     notes = [SIGN_CONVENTION_NOTE]
-    if sigma in (2, 4):
+    if _minus_d_class(sigma) == 1:
         notes.append(EVEN_SIGMA_RESIDUE_NOTE)
 
     return CaseCertificate(
@@ -308,15 +308,9 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
     )
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    return isqrt(n) ** 2 == n
-
-
 def _case_args_error(sigma: int, d: int) -> str | None:
     """Why (sigma, d) has no case, or None; checked before any exact work."""
-    if sigma not in (2, 3, 4, 5):
+    if sigma not in range(2, _MAX_ARTIN + 1):
         return "sigma must be in 2..5"
     if d < 1:
         return "d must be positive"
@@ -484,7 +478,7 @@ def decide_enriques(p: int, sigma: int) -> Verdict:
         raise ValueError("characteristic 2 is excluded")
     if not is_odd_prime(p):
         raise ValueError(f"p = {p} is not an odd prime")
-    if not 1 <= sigma <= 10:
+    if sigma not in _SIGMAS:
         raise ValueError("sigma must be in 1..10")
 
     if sigma == 1:
@@ -498,10 +492,10 @@ def decide_enriques(p: int, sigma: int) -> Verdict:
                 "surface with an Enriques involution",
             },
         )
-    if sigma >= 6:
+    if sigma > _MAX_ARTIN:
         witness = _arth(p, 6, -(2**10))
         detail = "the twisted rank-10 discriminant 2^10 is a perfect square"
-        if sigma >= 7:
+        if K3_RANK - 2 * sigma < 10:
             detail = f"rank bound: 22 - 2*{sigma} < 10"
         return Verdict(
             p,
@@ -523,10 +517,9 @@ def decide_enriques(p: int, sigma: int) -> Verdict:
         )
     cert = build_case(sigma, d)
     bound_ok = verify_norm_bound(p, d)
-    a = _DT_POWER[sigma]
     crosscheck = {
-        "parity_rule": _legendre(-d, p) == (1 if sigma in (2, 4) else -1),
-        "arth_rule": _arth(p, sigma, -(4**a) * d),
+        "parity_rule": _legendre(-d, p) == _minus_d_class(sigma),
+        "arth_rule": _arth(p, sigma, -(4 ** _CASES[sigma].dt_power) * d),
     }
     ok = cert.passed and bound_ok
     return Verdict(
@@ -562,7 +555,7 @@ class Survey:
             cells = " ".join(f"{s}:{row[s][0]}" for s in sorted(row))
             lines.append(f"p={p:4d}  {cells}")
         lines.append(
-            "dichotomy (Yes iff sigma <= 5) holds for p = 19 and 23 < p <= "
+            f"dichotomy (Yes iff sigma <= {_MAX_ARTIN}) holds for p = 19 and 23 < p <= "
             f"{self.pmax}: {self.dichotomy_ok}"
         )
         return "\n".join(lines)
@@ -576,11 +569,11 @@ def survey(pmax: int) -> Survey:
     for p in range(3, pmax + 1, 2):
         if not is_odd_prime(p):
             continue
-        for sigma in range(1, 11):
+        for sigma in _SIGMAS:
             out.rows.append(decide_enriques(p, sigma))
     for v in out.rows:
         if v.p == 19 or v.p > 23:
-            expected = "Yes" if v.sigma <= 5 else "No"
+            expected = "Yes" if v.sigma <= _MAX_ARTIN else "No"
             if v.answer != expected:
                 out.dichotomy_ok = False
     if not out.dichotomy_ok:

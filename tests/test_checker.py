@@ -62,8 +62,29 @@ def test_build_case_3_2():
 
 
 def test_build_case_rejects_bad_args():
-    with pytest.raises(ValueError):
-        build_case(6, 1)
+    # find_d, build_case and decide_enriques agree on the sigmas that have a case
+    kinds = {
+        0: None,
+        1: "KummerSigma1",
+        2: "ConstructedCase",
+        5: "ConstructedCase",
+        6: "SigmaBoundExceeded",
+        11: None,
+    }
+    for sigma, kind in kinds.items():
+        if kind == "ConstructedCase":
+            arith.find_d(23, sigma)
+            assert build_case(sigma, 1).passed
+        else:
+            with pytest.raises(ValueError, match="sigma must be in 2..5"):
+                arith.find_d(23, sigma)
+            with pytest.raises(ValueError, match="sigma must be in 2..5"):
+                build_case(sigma, 1)
+        if kind is None:
+            with pytest.raises(ValueError, match="sigma must be in 1..10"):
+                decide_enriques(1000003, sigma)
+        else:
+            assert decide_enriques(1000003, sigma).reason["kind"] == kind, sigma
     with pytest.raises(ValueError):
         build_case(2, 0)
 
