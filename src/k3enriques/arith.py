@@ -4,7 +4,8 @@ The residue side drives the existence criterion: the obstruction condition
 asks a twisted discriminant to be a non-square mod p, and the d-search looks
 for the smallest twist parameter below p/8 with the prescribed residue class.
 Primality is decided by Miller-Rabin (plus a strong Lucas test past its exact
-range) and composites are split by Pollard-Brent, so no step divides by every
+range).  Integers are split into prime powers by trial division by the primes
+below 1000, then Pollard-Brent on the cofactor, so no step divides by every
 number up to a square root.
 The polygon side records the Newton/Hodge slope constraints for the second
 cohomology of a K3 surface (rank 22, slopes symmetric about 1).
@@ -164,6 +165,48 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
+_TRIAL_LIMIT = 1000
+
+# the primes below _TRIAL_LIMIT, by the sieve of Eratosthenes
+_SMALL_PRIMES = sorted(
+    set(range(2, _TRIAL_LIMIT)).difference(
+        *(range(p * p, _TRIAL_LIMIT, p) for p in range(2, math.isqrt(_TRIAL_LIMIT) + 1))
+    )
+)
+
+
+def _prime_powers(n: int) -> list[int]:
+    """Prime-power factorization of n as a list [p^e, ...], p ascending.
+
+    Trial division by the primes below 1000, then Pollard-Brent on the
+    cofactor, each piece of which is tested by is_odd_prime.
+    """
+    out = []
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                q *= p
+                n //= p
+            out.append(q)
+    if 1 < n < _TRIAL_LIMIT**2:  # no factor below sqrt(n): prime
+        out.append(n)
+    elif n > 1:
+        primes = sorted(_prime_factors(n))
+        out += [p ** primes.count(p) for p in sorted(set(primes))]
+    return out
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Primes of the odd n > 1, with multiplicity, in no particular order."""
+    if is_odd_prime(n):
+        return [n]
+    f = _pollard_brent(n)
+    return _prime_factors(f) + _prime_factors(n // f)
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) via Euler's criterion; p an odd prime."""
     if not is_odd_prime(p):
@@ -208,12 +251,10 @@ def find_d(p: int, sigma: int) -> int | None:
 
 def _find_d(p: int, sigma: int) -> int | None:
     """find_d for a p already known to be an odd prime."""
-    # Euler's criterion for -d; d < p / 8, so p never divides d
-    want = _minus_d_class(sigma) % p
-    half = (p - 1) // 2
+    want = _minus_d_class(sigma)  # d < p / 8, so p never divides d
     d = 1
     while 8 * d < p:
-        if pow(-d % p, half, p) == want:
+        if _legendre(-d, p) == want:
             return d
         d += 1
     return None

@@ -13,11 +13,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import index, mul
 
 from .intmat import Matrix, _hnf, _snf_diagonal, det, hnf, intmat, kernel_basis
-from .lattice import IntegralLattice, direct_sum, is_even
+from .lattice import IntegralLattice, direct_sum, discriminant, is_even
 
 
 class LatticeEmbedding:
@@ -74,7 +74,7 @@ def orthogonal_complement(e: LatticeEmbedding) -> LatticeEmbedding:
     emitted, but the kernel is still returned.
     """
     k = kernel_basis(e._basis_gram.T)
-    if e.sublattice()._elim[0][-1] == 0:  # the last leading minor is the determinant
+    if discriminant(e.sublattice()) == 0:
         warnings.warn("sublattice is degenerate; complement meets it", stacklevel=2)
     # rows of a unimodular transform, so independent
     return LatticeEmbedding._trusted(e.ambient, k)
@@ -127,9 +127,9 @@ def overlattice(M: IntegralLattice, glue_gens) -> Overlattice:
         raise ValueError("glue does not generate an integral lattice")
     new_gram = [[x // (denom * denom) for x in row] for row in hgh]
     w = Matrix(tuple(tuple(Fraction(x, denom) for x in row) for row in h), n)
-    index = denom**n // abs(det(h))
+    index = denom**n // prod(h.diagonal())  # h is square Hermite: positive pivots
     out = Overlattice(new_gram, M, w, index, label=M.label and f"overlattice of {M.label}")
-    assert index * index * abs(det(new_gram)) == abs(det(M.gram))
+    assert index * index * abs(discriminant(out)) == abs(discriminant(M))
     return out
 
 

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from math import isqrt, prod
+from math import prod
 
-from .arith import _pollard_brent, is_odd_prime
-from .intmat import Matrix, _snf_diagonal, det, intmat, snf
+from .intmat import Matrix, _snf_diagonal, intmat, snf
 
 
 class IntegralLattice:
@@ -106,8 +105,9 @@ def direct_sum(*lattices: IntegralLattice) -> IntegralLattice:
 
 
 def discriminant(L: IntegralLattice):
-    """Signed determinant of the Gram matrix."""
-    return det(L.gram)
+    """Signed determinant of the Gram matrix: the last leading minor of the
+    lattice's one cached _ldl (0 for a degenerate form, 1 at rank 0)."""
+    return L._elim[0][-1]
 
 
 def is_even(L: IntegralLattice) -> bool:
@@ -167,48 +167,6 @@ def _signature_det(L: IntegralLattice) -> tuple[tuple[int, int], int]:
 def signature(L: IntegralLattice) -> tuple[int, int]:
     """Sylvester signature (plus, minus), from the integer elimination _ldl."""
     return _signature_det(L)[0]
-
-
-_TRIAL_LIMIT = 1000
-
-# the primes below _TRIAL_LIMIT, by the sieve of Eratosthenes
-_SMALL_PRIMES = sorted(
-    set(range(2, _TRIAL_LIMIT)).difference(
-        *(range(p * p, _TRIAL_LIMIT, p) for p in range(2, isqrt(_TRIAL_LIMIT) + 1))
-    )
-)
-
-
-def _prime_powers(n: int) -> list[int]:
-    """Prime-power factorization of n as a list [p^e, ...], p ascending.
-
-    Trial division by the primes below 1000, then Pollard-Brent on the
-    cofactor, each piece of which is tested by arith.is_odd_prime.
-    """
-    out = []
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            q = 1
-            while n % p == 0:
-                q *= p
-                n //= p
-            out.append(q)
-    if 1 < n < _TRIAL_LIMIT**2:  # no factor below sqrt(n): prime
-        out.append(n)
-    elif n > 1:
-        primes = sorted(_prime_factors(n))
-        out += [p ** primes.count(p) for p in sorted(set(primes))]
-    return out
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Primes of the odd n > 1, with multiplicity, in no particular order."""
-    if is_odd_prime(n):
-        return [n]
-    f = _pollard_brent(n)
-    return _prime_factors(f) + _prime_factors(n // f)
 
 
 @dataclass(frozen=True)

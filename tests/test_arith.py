@@ -14,6 +14,7 @@ from k3enriques.arith import (
     _PSI,
     _heights,
     _miller_rabin,
+    _prime_powers,
     _strong_lucas,
     arth,
     find_d,
@@ -25,7 +26,6 @@ from k3enriques.arith import (
     verify_norm_bound,
 )
 from k3enriques.checker import build_case, decide_enriques
-from k3enriques.lattice import _prime_powers
 
 from oracles import trial_is_prime, trial_prime_powers
 
@@ -107,6 +107,14 @@ def test_prime_powers_large_factors():
     assert _prime_powers(PSI12) == [399165290221, 798330580441]
     assert _prime_powers(3825123056546413051) == [149491, 747451, 34233211]
     assert _prime_powers(2**89 - 1) == [2**89 - 1]
+
+
+def test_prime_powers_trial_division_first():
+    # split by Pollard-Brent alone, 5^4296 (the odd part) recurses past
+    # Python's recursion limit; trial division takes the power off in one loop
+    t0 = time.perf_counter()
+    assert _prime_powers(10**4296) == [2**4296, 5**4296]
+    assert time.perf_counter() - t0 < 1
 
 
 def test_decide_near_2_64_is_fast():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -622,14 +623,31 @@ def test_survey_small():
             assert answers[(p, sigma)] == ("Yes" if sigma <= 5 else "No")
     assert answers[(23, 3)] == "Yes" and answers[(23, 2)] == "Unknown"
     assert answers[(11, 5)] == "Yes" and answers[(11, 4)] == "Unknown"
-    assert s.dichotomy_ok
     assert "p=  19" in s.summary()
+    assert s.summary().splitlines()[-1] == (
+        "dichotomy (Yes iff sigma <= 5) holds for p = 19 and 23 < p <= 31: True"
+    )
     assert s.to_csv().splitlines()[0] == "p,sigma,answer,d,reason"
+
+
+@pytest.mark.parametrize("cell", [(29, 2), (19, 2)])
+def test_survey_refuses_a_broken_dichotomy(monkeypatch, cell):
+    decide = checker.decide_enriques
+
+    def broken(p, sigma):
+        v = decide(p, sigma)
+        return dataclasses.replace(v, answer="No") if (p, sigma) == cell else v
+
+    monkeypatch.setattr(checker, "decide_enriques", broken)
+    with pytest.raises(RuntimeError, match="dichotomy pattern violated"):
+        survey(31)
 
 
 def test_survey_rows_ordered():
     s = survey(13)
     keys = [(v.p, v.sigma) for v in s.rows]
     assert keys == sorted(keys)
+    assert {v.p for v in survey(12).rows} == {3, 5, 7, 11}  # pmax bounds p, even or odd
+    assert {v.p for v in survey(3).rows} == {3}
     with pytest.raises(ValueError):
         survey(2)

@@ -80,8 +80,9 @@ def test_orthogonal_complement_case21():
 
 def test_orthogonal_complement_isotropic_vector():
     e = LatticeEmbedding(U2, [[1, 0]])
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         comp = orthogonal_complement(e)
+    assert caught[0].filename == __file__  # the warning names the caller's line
     assert comp.rank == 1
     assert comp.basis.tolist() in ([[1, 0]], [[-1, 0]])
 
@@ -116,6 +117,7 @@ def test_overlattice_empty_glue():
     g2 = gamma2()
     ov = overlattice(g2, [])
     assert ov == g2 and ov.index == 1
+    assert ov.label is None and overlattice(U2, []).label == "overlattice of U(2)"
 
 
 def test_overlattice_rejects_nonisotropic():

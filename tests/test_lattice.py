@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from k3enriques.arith import _prime_powers
 from k3enriques.intmat import det
 from k3enriques.lattice import (
     IntegralLattice,
     _divisors,
     _ldl,
-    _prime_powers,
     _signature_det,
     builtin,
     diag_lattice,
@@ -170,6 +170,7 @@ def test_ldl_last_minor_is_det(a):
     L = IntegralLattice(a)
     d, _ = _ldl(L.gram)
     assert d[-1] == det(a)
+    assert discriminant(L) == det(a)  # degenerate forms too
     if d[-1]:
         assert _signature_det(L) == (signature(L), discriminant(L))
 
@@ -185,6 +186,7 @@ def test_discriminant_examples():
     assert discriminant(gamma2) == -1024
     assert discriminant(builtin("LambdaK3")) == -1
     assert discriminant(diag_lattice([4 * 3, -4])) == -48
+    assert discriminant(IntegralLattice([])) == 1
 
 
 def test_discriminant_group_unimodular_trivial():
