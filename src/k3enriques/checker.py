@@ -37,15 +37,15 @@ from .embeddings import (
     orthogonal_complement,
 )
 from .enumeration import count_norm
-from .intmat import _rat_inv, _snf_diagonal, intmat
+from .intmat import _rat_inv
 from .lattice import (
     IntegralLattice,
     _divisors,
-    _signature_det,
     builtin,
     direct_sum,
     discriminant,
     is_even,
+    signature,
     twist,
 )
 
@@ -161,9 +161,7 @@ def _lists(x, rows: list) -> list:
 def _compute_case(sigma: int, d: int) -> CaseCertificate:
     case = _CASES[sigma]
     ambient = _gamma2()
-    # unchecked: a dependent basis would put a 0 on the Smith diagonal of the
-    # embedding_primitive witness, and _signature_det raises on its Gram matrix
-    emb = LatticeEmbedding._trusted(ambient, intmat(_case_basis(case, d)))
+    emb = LatticeEmbedding(ambient, _case_basis(case, d))
     comp = orthogonal_complement(emb)
     emb_gram = emb.gram()
     comp_lat = comp.sublattice()
@@ -172,14 +170,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
 
     checks = []
 
-    snf_divs = _snf_diagonal(emb.basis)
-    checks.append(
-        Check(
-            "embedding_primitive",
-            all(x == 1 for x in snf_divs),
-            {"snf_divisors": snf_divs},
-        )
-    )
+    checks.append(Check("embedding_primitive", is_primitive(emb), {"snf_divisors": emb._smith}))
 
     expected_diag = [4 * case.d_sign * d] + [-4] * (emb.rank - 1)
     diag_ok = all(
@@ -210,7 +201,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
         )
     )
 
-    n_sig, d_n = _signature_det(n_lat)
+    n_sig, d_n = signature(n_lat), discriminant(n_lat)
     checks.append(
         Check(
             "n_negative_definite",
@@ -219,7 +210,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
         )
     )
 
-    m_sig, m_det = _signature_det(m_lat)
+    m_sig, m_det = signature(m_lat), discriminant(m_lat)
     checks.append(
         Check(
             "m_side_signature",
@@ -286,7 +277,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
     )
 
     # index of N + Gamma(2) inside the rank-22 Neron-Severi overlattice;
-    # dns = -det M is nonzero, as _signature_det(m_lat) raises on a degenerate M
+    # dns = -det M is nonzero, as signature(m_lat) raises on a degenerate M
     idx_sq_num = d_n * 1024
     idx_sq = idx_sq_num // abs(dns)
     idx_ok = idx_sq_num % abs(dns) == 0 and 0 <= idx_sq == isqrt(idx_sq) ** 2
@@ -407,8 +398,7 @@ def gamma2_in_k3() -> GlueReport:
     basis[1][1] = basis[1][3] = 1  # Y
     for i in range(8):
         basis[2 + i][6 + i] = basis[2 + i][14 + i] = 1
-    # independence is decided by the embedding_primitive Smith diagonal below
-    emb = LatticeEmbedding._trusted(lam, intmat(basis))
+    emb = LatticeEmbedding(lam, basis)
     comp = orthogonal_complement(emb)
     comp_lat = comp.sublattice()
     gamma2 = _gamma2()
@@ -424,7 +414,7 @@ def gamma2_in_k3() -> GlueReport:
         ),
         Check("complement_rank", comp.rank == 12, {"rank": comp.rank}),
     ]
-    sig, dc = _signature_det(comp_lat)
+    sig, dc = signature(comp_lat), discriminant(comp_lat)
     checks.append(Check("complement_signature", sig == (2, 10), {"signature": list(sig)}))
     checks.append(Check("complement_discriminant", dc == dm, {"computed": dc, "model": dm}))
     divs = _divisors(comp_lat)

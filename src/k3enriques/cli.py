@@ -12,7 +12,7 @@ from functools import cache
 
 from .checker import build_case, decide_enriques, survey, verify_certificate
 from .enumeration import short_vectors
-from .lattice import _divisors, _signature_det, is_even, load_lattice
+from .lattice import _divisors, discriminant, is_even, load_lattice, signature
 
 
 @cache
@@ -56,10 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_lattice(args) -> int:
     L = load_lattice(args.file)
     if args.lattice_command == "info":
-        (plus, minus), det = _signature_det(L)
+        plus, minus = signature(L)
         print(f"label: {L.label or '-'}")
         print(f"rank: {L.rank}")
-        print(f"det: {det}")
+        print(f"det: {discriminant(L)}")
         print(f"signature: ({plus},{minus})")
         print(f"even: {is_even(L)}")
         print(f"divisors: {_divisors(L)}")

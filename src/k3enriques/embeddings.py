@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from operator import index, mul
 
-from .intmat import Matrix, _hnf, _snf_diagonal, det, hnf, intmat, kernel_basis
+from .intmat import Matrix, _hnf, _snf_diagonal, hnf, intmat, kernel_basis
 from .lattice import IntegralLattice, direct_sum, discriminant, is_even
 
 
@@ -27,21 +27,19 @@ class LatticeEmbedding:
         b = intmat(basis)
         if b.shape[1] != ambient.rank:
             raise ValueError("basis rows must live in the ambient lattice")
-        if det(b @ b.T) == 0:
+        self.ambient, self.basis = ambient, b
+        # independent rows: no more rows than columns, no 0 on the Smith diagonal
+        if b.shape[0] > b.shape[1] or 0 in self._smith:
             raise ValueError("basis rows must be linearly independent")
-        self.ambient = ambient
-        self.basis = b
-
-    @classmethod
-    def _trusted(cls, ambient: IntegralLattice, basis: Matrix) -> LatticeEmbedding:
-        """Unchecked: the rows of the int Matrix basis are independent ambient vectors."""
-        out = cls.__new__(cls)
-        out.ambient, out.basis = ambient, basis
-        return out
 
     @property
     def rank(self) -> int:
         return self.basis.shape[0]
+
+    @cached_property
+    def _smith(self) -> list[int]:
+        """The Smith diagonal of the basis, computed once for independence and primitivity."""
+        return _snf_diagonal(self.basis)
 
     @cached_property
     def _basis_gram(self) -> Matrix:
@@ -63,7 +61,7 @@ class LatticeEmbedding:
 
 def is_primitive(e: LatticeEmbedding) -> bool:
     """True iff the row span equals its saturation (all SNF divisors are 1)."""
-    return all(x == 1 for x in _snf_diagonal(e.basis))
+    return all(x == 1 for x in e._smith)
 
 
 def orthogonal_complement(e: LatticeEmbedding) -> LatticeEmbedding:
@@ -76,8 +74,10 @@ def orthogonal_complement(e: LatticeEmbedding) -> LatticeEmbedding:
     k = kernel_basis(e._basis_gram.T)
     if discriminant(e.sublattice()) == 0:
         warnings.warn("sublattice is degenerate; complement meets it", stacklevel=2)
-    # rows of a unimodular transform, so independent
-    return LatticeEmbedding._trusted(e.ambient, k)
+    # unchecked: the rows of a unimodular transform are independent
+    out = LatticeEmbedding.__new__(LatticeEmbedding)
+    out.ambient, out.basis = e.ambient, k
+    return out
 
 
 class Overlattice(IntegralLattice):

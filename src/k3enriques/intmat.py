@@ -184,7 +184,7 @@ def _snf(a: list[list[int]], c: int, eye=_eye) -> tuple:
     keeps entries and transforms small; a gcd/lcm pass restores the chain."""
     r = len(a)
     u, vt = eye(r), eye(c)
-    while r and c:
+    while True:
         _hnf(a, u)
         if _is_diagonal(a):
             break
@@ -237,47 +237,19 @@ def kernel_basis(m) -> Matrix:
     return _matrix([x for h, x in zip(a, u) if not any(h)], len(a))
 
 
-def det(m):
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    a, c = _rows(m)
-    n = len(a)
-    if n != c:
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _rat_inv(m) -> tuple[int, list[list[int]]]:
-    """(D, rows) with m^-1 = rows / D, D = +-det(m), all Python ints.
-
-    Fraction-free (Bareiss) Gauss-Jordan elimination of [m | I]: every
-    division is exact, and it ends at [D*I | D*m^-1].  Singular m raises
-    ZeroDivisionError.
-    """
-    a, n = _rows(m)
-    if len(a) != n:
-        raise ValueError("inverse requires a square matrix")
-    a = [row + e for row, e in zip(a, _eye(n))]
-    prev = 1
+def _bareiss(a: list[list[int]], u: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) Gauss-Jordan of the square int rows a, in place,
+    to D*I, D = +-det(a) the last pivot; every row operation (its divisions
+    exact) is applied to the rows u of any width, zero too.  Returns det(a),
+    or 0 at the first column with no pivot."""
+    n, sign, prev = len(a), 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
+            return 0
+        if piv != k:
+            a[k], a[piv], u[k], u[piv] = a[piv], a[k], u[piv], u[k]
+            sign = -sign
         p = a[k][k]
         for i in range(n):
             if i == k:
@@ -285,10 +257,33 @@ def _rat_inv(m) -> tuple[int, list[list[int]]]:
             f = a[i][k]
             if f:
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+                u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], u[k])]
             elif p != prev:  # f = 0: the update only rescales the row by p / prev
                 a[i] = [p * x // prev for x in a[i]]
+                u[i] = [p * x // prev for x in u[i]]
         prev = p
-    return prev, [row[n:] for row in a]
+    return sign * prev
+
+
+def det(m):
+    """Exact determinant, by _bareiss on zero-width rows."""
+    a, c = _rows(m)
+    if len(a) != c:
+        raise ValueError("determinant requires a square matrix")
+    return _bareiss(a, [[] for _ in a])
+
+
+def _rat_inv(m) -> tuple[int, list[list[int]]]:
+    """(D, rows) with m^-1 = rows / D, D = +-det(m), all Python ints: _bareiss
+    turns m into D*I and the identity into D*m^-1.  Singular m raises
+    ZeroDivisionError."""
+    a, n = _rows(m)
+    if len(a) != n:
+        raise ValueError("inverse requires a square matrix")
+    u = _eye(n)
+    if not _bareiss(a, u):
+        raise ZeroDivisionError("matrix is singular")
+    return (a[0][0] if n else 1), u
 
 
 def rat_inv(m) -> Matrix:

@@ -153,20 +153,15 @@ def _ldl(gram) -> tuple[list[int], list[list[int]]]:
     return d, rows
 
 
-def _signature_det(L: IntegralLattice) -> tuple[tuple[int, int], int]:
-    """Signature and determinant of L from one _ldl: one sign per pivot
-    d[k+1] / d[k], and the last leading minor is det G, since the swaps and
-    hyperbolic steps of _ldl are unimodular congruences."""
+def signature(L: IntegralLattice) -> tuple[int, int]:
+    """Sylvester signature (plus, minus) from the lattice's one cached _ldl:
+    one sign per pivot d[k+1] / d[k], as the swaps and hyperbolic steps of
+    _ldl are unimodular congruences."""
     d, _ = L._elim
     if d[-1] == 0:
         raise ValueError("degenerate form has no signature")
     plus = sum(p * q > 0 for p, q in zip(d, d[1:]))
-    return (plus, L.rank - plus), d[-1]
-
-
-def signature(L: IntegralLattice) -> tuple[int, int]:
-    """Sylvester signature (plus, minus), from the integer elimination _ldl."""
-    return _signature_det(L)[0]
+    return plus, L.rank - plus
 
 
 @dataclass(frozen=True)

@@ -496,7 +496,7 @@ def _count_kernels(monkeypatch) -> Counter:
 
     intmat_module = importlib.import_module("k3enriques.intmat")
     for module in (intmat_module, lattice, embeddings, enumeration, checker):
-        for name in ("_ldl", "det", "snf", "_snf_diagonal", "_hnf"):
+        for name in ("_ldl", "det", "_bareiss", "snf", "_snf_diagonal", "_hnf"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(Matrix, "__matmul__", counted("@", Matrix.__matmul__))
@@ -506,20 +506,21 @@ def _count_kernels(monkeypatch) -> Counter:
 def test_compute_case_runs_each_kernel_once_per_need(monkeypatch):
     # _ldl: N and M once each, shared by signature, determinant, the
     # degeneracy warning (the embedded lattice's last leading minor) and, for
-    # N, count_norm; no det; no snf, whose transforms no check reads: the
-    # Smith diagonal for the embedding_primitive witness and N's divisors; @:
-    # b G and (b G) b^T per embedding and complement, shared by the kernel of
-    # (b G)^T and the case's Gram matrices.  No b b^T or det proves a basis
-    # independent: the case basis is, as its Smith diagonal shows, and the
-    # complement's rows come from a unimodular transform.  _hnf: the kernel,
-    # and one pass per Smith diagonal, as the Hermite forms of N's Gram
-    # matrix and of the case basis's transpose are already diagonal.
+    # N, count_norm; no det and no _bareiss; no snf, whose transforms no check
+    # reads: the Smith diagonal of the case basis, cached by the embedding,
+    # which proves it independent and is the embedding_primitive witness, and
+    # N's divisors; @: b G and (b G) b^T per embedding and complement, shared
+    # by the kernel of (b G)^T and the case's Gram matrices.  No b b^T or det
+    # proves a basis independent: the complement's rows come from a
+    # unimodular transform.  _hnf: the kernel, and one pass per Smith
+    # diagonal, as the Hermite forms of N's Gram matrix and of the case
+    # basis's transpose are already diagonal.
     calls = _count_kernels(monkeypatch)
     for sigma in (2, 3, 4, 5):
         calls.clear()
         assert checker._compute_case(sigma, 999999937).passed
         assert calls == Counter(
-            {"_ldl": 2, "det": 0, "snf": 0, "_snf_diagonal": 2, "_hnf": 3, "@": 4}
+            {"_ldl": 2, "det": 0, "_bareiss": 0, "snf": 0, "_snf_diagonal": 2, "_hnf": 3, "@": 4}
         )
 
 
@@ -527,16 +528,17 @@ def test_gamma2_in_k3_runs_each_kernel_once_per_need(monkeypatch):
     # on a warm call, whichever test ran first: _ldl: the embedded lattice,
     # shared by the degeneracy warning and its discriminant, and the
     # complement's signature and determinant; no det: the model's
-    # discriminant is a cached package constant, and the embedding's
-    # independence is read off the Smith diagonal of is_primitive; the Smith
-    # diagonal: is_primitive and the complement's divisors; _hnf: the kernel,
-    # one pass per Smith diagonal and the glue group's Hermite basis; @: b G
-    # and (b G) b^T per embedding and complement
+    # discriminant is a cached package constant; _bareiss: the glue inverse
+    # _rat_inv; the Smith diagonal: the embedding's basis, computed once by
+    # the constructor, which refuses dependent rows on it, and read again by
+    # is_primitive, and the complement's divisors; _hnf: the kernel, one pass
+    # per Smith diagonal and the glue group's Hermite basis; @: b G and
+    # (b G) b^T per embedding and complement
     assert checker.gamma2_in_k3().passed
     calls = _count_kernels(monkeypatch)
     assert checker.gamma2_in_k3().passed
     assert calls == Counter(
-        {"_ldl": 2, "det": 0, "snf": 0, "_snf_diagonal": 2, "_hnf": 4, "@": 4}
+        {"_ldl": 2, "det": 0, "_bareiss": 1, "snf": 0, "_snf_diagonal": 2, "_hnf": 4, "@": 4}
     )
 
 

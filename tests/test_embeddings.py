@@ -151,6 +151,12 @@ def test_glue_data_rejects_non_primitive_pair():
     # 1/2 of diag(4) glued to nothing: the projection to l(N) is not injective
     with pytest.raises(ValueError, match="not injective"):
         glue_data(diag_lattice([4]), diag_lattice([-4]), [[F(1, 2), 0], [0, 1]])
+    # isotropic of order 6, but twice it is (0, 0, 1/3), which l(M) does not
+    # see; rows den (J - I) in place of den I would span less here, list a
+    # group of order 2 and return it, while no accepted input tells them apart
+    over = [[F(1, 2), 0, F(1, 6)], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match="not injective"):
+        glue_data(diag_lattice([4]), diag_lattice([-4, 36]), over)
 
 
 def test_glue_data_rejects_non_isotropic_glue():

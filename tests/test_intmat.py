@@ -12,7 +12,17 @@ from hypothesis import strategies as st
 
 from k3enriques.checker import build_case
 from k3enriques.embeddings import LatticeEmbedding
-from k3enriques.intmat import Matrix, _snf_diagonal, det, hnf, intmat, kernel_basis, rat_inv, snf
+from k3enriques.intmat import (
+    Matrix,
+    _rat_inv,
+    _snf_diagonal,
+    det,
+    hnf,
+    intmat,
+    kernel_basis,
+    rat_inv,
+    snf,
+)
 from k3enriques.lattice import _E8_GRAM, IntegralLattice, builtin, diag_lattice, twist
 
 from oracles import (
@@ -220,6 +230,7 @@ def test_kernels_refuse_a_fraction_matrix():
 
 def test_rat_inv_refusals():
     assert rat_inv([]).shape == (0, 0)
+    assert _rat_inv([]) == (1, [])  # D = det of the empty matrix
     with pytest.raises(ZeroDivisionError):
         rat_inv([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="square"):

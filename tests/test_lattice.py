@@ -13,7 +13,6 @@ from k3enriques.lattice import (
     IntegralLattice,
     _divisors,
     _ldl,
-    _signature_det,
     builtin,
     diag_lattice,
     direct_sum,
@@ -171,8 +170,6 @@ def test_ldl_last_minor_is_det(a):
     d, _ = _ldl(L.gram)
     assert d[-1] == det(a)
     assert discriminant(L) == det(a)  # degenerate forms too
-    if d[-1]:
-        assert _signature_det(L) == (signature(L), discriminant(L))
 
 
 def test_is_even():
