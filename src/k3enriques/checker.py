@@ -15,8 +15,8 @@ import io
 import marshal
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import chain
 from math import isqrt
+from types import MappingProxyType
 
 from .arith import (
     _MAX_ARTIN,
@@ -104,7 +104,10 @@ def _case_basis(case: _Case, d: int):
 class Check:
     name: str
     passed: bool
-    witness: dict
+    witness: dict  # kept as a read-only view; its values are ints, bools and tuples
+
+    def __post_init__(self):
+        object.__setattr__(self, "witness", MappingProxyType(self.witness))
 
 
 @dataclass(frozen=True)
@@ -120,42 +123,36 @@ class CaseCertificate:
     passed: bool
 
     def to_doc(self) -> dict:
-        """The document json.loads(json.dumps(...)) would give, built directly
-        in fresh lists, so changing it never changes this (cached) certificate.
-        Like json.dumps, it raises ValueError on an int too long to print."""
-        rows = [[self.sigma, self.d]]  # every list of ints in the document
-        doc = {
-            "sigma": self.sigma,
-            "d": self.d,
-            "ambient_gram": _lists(self.ambient_gram, rows),
-            "embedding_basis": _lists(self.embedding_basis, rows),
-            "complement_basis": _lists(self.complement_basis, rows),
-            "complement_gram": _lists(self.complement_gram, rows),
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "witness": {
-                        k: _lists(v, rows) if type(v) in (tuple, list) else v
-                        for k, v in c.witness.items()
-                    },
-                }
-                for c in self.checks
-            ],
-            "notes": list(self.notes),
-            "passed": self.passed,
-        }
-        rows.append([v for c in self.checks for v in c.witness.values() if type(v) is int])
-        str(max(map(abs, chain.from_iterable(rows))))  # raises where json.dumps would
-        return doc
+        return _doc(self)
 
 
-def _lists(x, rows: list) -> list:
-    """The vector or matrix of ints x as fresh lists, each list of ints also put in rows."""
-    vector = not x or type(x[0]) not in (tuple, list)
-    out = list(x) if vector else [list(r) for r in x]
-    rows.extend([out] if vector else out)
-    return out
+def _doc(report) -> dict:
+    """A report dataclass of ints, bools, strings, None, tuples, read-only
+    mappings and reports as the JSON value json.loads would read back, built
+    in fresh lists and dicts, so changing it never changes the (cached)
+    report.  Like json.dumps, it raises ValueError on an int too long to print."""
+    ints = []  # every int in the document
+    doc = _json(report, ints)
+    str(max(map(abs, ints)))  # raises where json.dumps would
+    return doc
+
+
+def _json(x, ints: list):
+    """x as fresh JSON values, each of its ints also put in ints."""
+    t = type(x)
+    if t is tuple or t is list:
+        if x and type(x[0]) is int:  # a vector of ints
+            ints.extend(x)
+            return list(x)
+        return [_json(v, ints) for v in x]
+    if t is int:
+        ints.append(x)
+        return x
+    if t is str or t is bool or x is None:
+        return x
+    if t is not dict and t is not MappingProxyType:
+        x = vars(x)  # a report: its fields, in order
+    return {k: _json(v, ints) for k, v in x.items()}
 
 
 def _compute_case(sigma: int, d: int) -> CaseCertificate:
@@ -172,7 +169,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
 
     checks.append(Check("embedding_primitive", is_primitive(emb), {"snf_divisors": emb._smith}))
 
-    expected_diag = [4 * case.d_sign * d] + [-4] * (emb.rank - 1)
+    expected_diag = (4 * case.d_sign * d,) + (-4,) * (emb.rank - 1)
     diag_ok = all(
         x == (expected_diag[i] if i == j else 0)
         for i, row in enumerate(emb_gram)
@@ -206,7 +203,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
         Check(
             "n_negative_definite",
             n_sig == (0, n_lat.rank),
-            {"signature": list(n_sig)},
+            {"signature": n_sig},
         )
     )
 
@@ -215,7 +212,7 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
         Check(
             "m_side_signature",
             m_sig == (1, m_lat.rank - 1),
-            {"signature": list(m_sig)},
+            {"signature": m_sig},
         )
     )
 
@@ -239,11 +236,11 @@ def _compute_case(sigma: int, d: int) -> CaseCertificate:
         )
     )
 
-    n_divs = _divisors(n_lat)
-    formula = [4 * d, *case.n_divisors]
+    n_divs = tuple(_divisors(n_lat))
+    formula = (4 * d, *case.n_divisors)
     pp = {x: _prime_powers(x) for x in {*n_divs, *formula}}
-    n_pp = sorted(q for x in n_divs for q in pp[x])
-    formula_pp = sorted(q for x in formula for q in pp[x])
+    n_pp = tuple(sorted(q for x in n_divs for q in pp[x]))
+    formula_pp = tuple(sorted(q for x in formula for q in pp[x]))
     checks.append(
         Check(
             "n_divisors",
@@ -415,10 +412,10 @@ def gamma2_in_k3() -> GlueReport:
         Check("complement_rank", comp.rank == 12, {"rank": comp.rank}),
     ]
     sig, dc = signature(comp_lat), discriminant(comp_lat)
-    checks.append(Check("complement_signature", sig == (2, 10), {"signature": list(sig)}))
+    checks.append(Check("complement_signature", sig == (2, 10), {"signature": sig}))
     checks.append(Check("complement_discriminant", dc == dm, {"computed": dc, "model": dm}))
-    divs = _divisors(comp_lat)
-    checks.append(Check("complement_divisors", divs == [2] * 10, {"divisors": divs}))
+    divs = tuple(_divisors(comp_lat))
+    checks.append(Check("complement_divisors", divs == (2,) * 10, {"divisors": divs}))
     checks.append(Check("complement_even", is_even(comp_lat), {}))
 
     # glue of the pair inside the ambient rank-22 lattice
@@ -442,19 +439,11 @@ class Verdict:
     answer: str  # Yes | No | Unknown
     reason: dict
     d: int | None = None
-    certificate: CaseCertificate | None = None
     arth_crosscheck: dict | None = None
+    certificate: CaseCertificate | None = None
 
     def to_doc(self) -> dict:
-        return {
-            "p": self.p,
-            "sigma": self.sigma,
-            "answer": self.answer,
-            "reason": self.reason,
-            "d": self.d,
-            "arth_crosscheck": self.arth_crosscheck,
-            "certificate": self.certificate.to_doc() if self.certificate else None,
-        }
+        return _doc(self)
 
 
 def decide_enriques(p: int, sigma: int) -> Verdict:
@@ -539,12 +528,13 @@ class Survey:
         return buf.getvalue()
 
     def summary(self) -> str:
-        lines = []
-        primes = sorted({v.p for v in self.rows})
-        for p in primes:
-            row = {v.sigma: v.answer for v in self.rows if v.p == p}
-            cells = " ".join(f"{s}:{row[s][0]}" for s in sorted(row))
-            lines.append(f"p={p:4d}  {cells}")
+        answers = {}  # p -> sigma -> answer, in one pass over the rows
+        for v in self.rows:
+            answers.setdefault(v.p, {})[v.sigma] = v.answer
+        lines = [
+            f"p={p:4d}  " + " ".join(f"{s}:{row[s][0]}" for s in sorted(row))
+            for p, row in sorted(answers.items())
+        ]
         lines.append(
             f"dichotomy (Yes iff sigma <= {_MAX_ARTIN}) holds for p = 19 and 23 < p <= "
             f"{self.pmax}: True"

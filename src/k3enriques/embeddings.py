@@ -37,9 +37,9 @@ class LatticeEmbedding:
         return self.basis.shape[0]
 
     @cached_property
-    def _smith(self) -> list[int]:
-        """The Smith diagonal of the basis, computed once for independence and primitivity."""
-        return _snf_diagonal(self.basis)
+    def _smith(self) -> tuple[int, ...]:
+        """The basis's Smith diagonal, a tuple computed once for independence and primitivity."""
+        return tuple(_snf_diagonal(self.basis))
 
     @cached_property
     def _basis_gram(self) -> Matrix:

@@ -95,10 +95,10 @@ def test_criterion_02():
 def test_criterion_03():
     build_case.cache_clear()
     formulas = {
-        2: lambda d: [4 * d, 4] + [2] * 6,
-        3: lambda d: [4 * d, 4, 4, 4, 2, 2],
-        4: lambda d: [4 * d, 4, 4, 4],
-        5: lambda d: [4 * d, 4],
+        2: lambda d: (4 * d, 4) + (2,) * 6,
+        3: lambda d: (4 * d, 4, 4, 4, 2, 2),
+        4: lambda d: (4 * d, 4, 4, 4),
+        5: lambda d: (4 * d, 4),
     }
     dt = {2: lambda d: 16 * d, 3: lambda d: 256 * d, 4: lambda d: 1024 * d, 5: lambda d: 1024 * d}
     t0 = time.perf_counter()

@@ -107,8 +107,8 @@ def test_gamma2_in_k3(gamma2_report):
     assert r.glue_order == 2**10
     by_name = {c.name: c for c in r.checks}
     assert by_name["complement_rank"].witness["rank"] == 12
-    assert by_name["complement_signature"].witness["signature"] == [2, 10]
-    assert by_name["complement_divisors"].witness["divisors"] == [2] * 10
+    assert by_name["complement_signature"].witness["signature"] == (2, 10)
+    assert by_name["complement_divisors"].witness["divisors"] == (2,) * 10
 
 
 def test_decide_examples():
@@ -308,7 +308,7 @@ def test_compute_case_passes_with_snf_divisors(sigma, d):
         n_gram = _check(cert, "embedded_gram_diagonal").witness["gram"]
     # the divisors of the discriminant group, the route the case took before
     oracle = discriminant_group(IntegralLattice(n_gram)).divisors
-    assert _check(cert, "n_divisors").witness["computed"] == list(oracle)
+    assert _check(cert, "n_divisors").witness["computed"] == tuple(oracle)
 
 
 def _leaves(node, path=()):
@@ -458,12 +458,37 @@ def test_to_doc_is_its_json_round_trip(monkeypatch):
         assert verify_certificate(loaded) == (True, [])
 
 
-def test_to_doc_shares_nothing_with_the_cached_certificate():
-    for sigma, d in _PINNED:
-        text = json.dumps(build_case(sigma, d).to_doc())
-        for node in list(_containers(build_case(sigma, d).to_doc())):
+def _clear_documents(reports):
+    for report in reports:
+        for node in list(_containers(report.to_doc())):
             node.clear()
-        assert json.dumps(build_case(sigma, d).to_doc()) == text
+
+
+def _change_witnesses(certs):
+    for check in (check for cert in certs for check in cert.checks):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            check.witness = {}
+        for key, value in check.witness.items():
+            with pytest.raises(TypeError):
+                check.witness[key] = 0
+            if type(value) is tuple:
+                with pytest.raises(AttributeError):
+                    value.append(9)
+
+
+def test_to_doc_shares_nothing_with_the_cached_certificate():
+    # certificates come from the build_case cache, and a verdict holds its
+    # reason and crosscheck dicts besides a cached certificate
+    certs = [build_case(sigma, d) for sigma, d in _PINNED]
+    verdicts = [decide_enriques(p, s) for p in (1000003, 1000033, 23) for s in range(1, 11)]
+    for reports, change in [
+        (certs, _clear_documents),
+        (verdicts, _clear_documents),
+        (certs, _change_witnesses),
+    ]:
+        texts = [json.dumps(r.to_doc()) for r in reports]
+        change(reports)
+        assert [json.dumps(r.to_doc()) for r in reports] == texts
 
 
 @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
@@ -559,16 +584,13 @@ def test_verdict_digests_pinned():
     assert _digest(docs) == "e3270289f1338a0e7dd6666bd38e6ef6123fbea3f479edb1b767ae1b938d359a"
     csv_digest = hashlib.sha256(survey(200).to_csv().encode()).hexdigest()
     assert csv_digest == "eb1d3b2eb897945e2683a8730b35f6b407632c02e7b588c78e59b879babb3a31"
+    summary_digest = hashlib.sha256(survey(200).summary().encode()).hexdigest()
+    assert summary_digest == "13e7e906ed20772fdd29caf49a13268d0012dd20363653d842065aa9c61451ea"
 
 
 def test_gamma2_report_digest_pinned(gamma2_report):
-    r = gamma2_report
-    doc = {
-        "checks": [{"name": c.name, "passed": c.passed, "witness": c.witness} for c in r.checks],
-        "glue_order": r.glue_order,
-        "passed": r.passed,
-    }
-    assert _digest(doc) == "75c43041e319836a053f78e2005064634092770e9cea9fe06f14915e1ef710a8"
+    digest = _digest(checker._doc(gamma2_report))
+    assert digest == "75c43041e319836a053f78e2005064634092770e9cea9fe06f14915e1ef710a8"
 
 
 def test_gamma2_glue_digest_pinned(monkeypatch):
