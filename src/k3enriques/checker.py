@@ -14,7 +14,7 @@ import csv
 import io
 import marshal
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cache
 from math import isqrt
 from types import MappingProxyType
 
@@ -37,7 +37,7 @@ from .embeddings import (
     orthogonal_complement,
 )
 from .enumeration import count_norm
-from .intmat import _rat_inv
+from .intmat import rat_inv
 from .lattice import (
     IntegralLattice,
     _divisors,
@@ -79,7 +79,7 @@ EVEN_SIGMA_RESIDUE_NOTE = (
 )
 
 
-@lru_cache(maxsize=1)  # the one ambient of every case, built on first use; never changed
+@cache  # the one ambient of every case, built on first use; never changed
 def _gamma2() -> IntegralLattice:
     """The rank-10 ambient U(2) + E8(2) on the basis x, y, e1..e8."""
     amb = direct_sum(twist(builtin("U"), 2), twist(builtin("E8"), 2))
@@ -87,7 +87,7 @@ def _gamma2() -> IntegralLattice:
     return amb
 
 
-@lru_cache(maxsize=1)  # package constants, as _gamma2: built once, never changed
+@cache  # package constants, as _gamma2: built once, never changed
 def _lambda_k3() -> tuple[IntegralLattice, int]:
     """LambdaK3 and the discriminant of U + U(2) + E8(2), gamma2's model complement in it."""
     model = direct_sum(builtin("U"), twist(builtin("U"), 2), twist(builtin("E8"), 2))
@@ -306,7 +306,7 @@ def _case_args_error(sigma: int, d: int) -> str | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@cache
 def build_case(sigma: int, d: int) -> CaseCertificate:
     """Build and check the explicit construction for (sigma, d)."""
     if error := _case_args_error(sigma, d):
@@ -419,7 +419,7 @@ def gamma2_in_k3() -> GlueReport:
     checks.append(Check("complement_even", is_even(comp_lat), {}))
 
     # glue of the pair inside the ambient rank-22 lattice
-    den, inv = _rat_inv([*emb.basis, *comp.basis])
+    den, inv = rat_inv([*emb.basis, *comp.basis])
     g = glue_data(emb_lat, comp_lat, inv, den)
     checks.append(Check("glue_order", g.order == 2**10, {"order": g.order}))
     checks.append(

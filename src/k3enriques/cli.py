@@ -124,7 +124,7 @@ def main(argv=None) -> int:
         if args.command == "decide":
             return _cmd_decide(args)
         return _cmd_survey(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,7 +86,7 @@ class Overlattice(IntegralLattice):
     def __init__(self, gram, base: IntegralLattice, basis_in_base, index: int, label=None):
         super().__init__(gram, label)
         self.base = base
-        self.basis_in_base = basis_in_base  # rational rows, new basis in base coords
+        self.basis_in_base = basis_in_base  # Fraction row tuples, new basis in base coords
         self.index = index
 
 
@@ -126,7 +126,7 @@ def overlattice(M: IntegralLattice, glue_gens) -> Overlattice:
     if any(x % (denom * denom) for x in hgh.flat):
         raise ValueError("glue does not generate an integral lattice")
     new_gram = [[x // (denom * denom) for x in row] for row in hgh]
-    w = Matrix(tuple(tuple(Fraction(x, denom) for x in row) for row in h), n)
+    w = tuple(tuple(Fraction(x, denom) for x in row) for row in h)
     index = denom**n // prod(h.diagonal())  # h is square Hermite: positive pivots
     out = Overlattice(new_gram, M, w, index, label=M.label and f"overlattice of {M.label}")
     assert index * index * abs(discriminant(out)) == abs(discriminant(M))
@@ -166,7 +166,7 @@ def glue_data(M: IntegralLattice, N: IntegralLattice, over_basis, den=None) -> G
     `over_basis` rows express a basis of the overlattice in the coordinates
     of the orthogonal sum, which must be even: rational rows, or, when `den`
     is given, integer numerators over the nonzero int den (the form
-    intmat._rat_inv returns).  The glue group must be an isotropic subgroup
+    intmat.rat_inv returns).  The glue group must be an isotropic subgroup
     of its discriminant group, and both projections of it injective (they
     are exactly when M and N are a primitive pair).
     """

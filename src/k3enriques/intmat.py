@@ -2,29 +2,24 @@
 
 The kernels compute on lists of Python int rows (arbitrary precision, no
 floating point): any nested sequence of rows is converted once on entry, and
-results are immutable ``Matrix`` objects of Python ints; only ``rat_inv``
-returns ``fractions.Fraction`` entries.  Entries must be integers
-(``__index__``, or a ``Fraction`` with denominator 1); any other entry
-raises TypeError.
+results are immutable ``Matrix`` objects of Python ints; a rational matrix is
+an integer ``Matrix`` over one denominator, as ``rat_inv`` returns it.
+Entries must be integers (``__index__``); any other entry, a rational one
+included, raises TypeError.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import index
 
 
-def _int(x) -> int:
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else index(x)
-
-
 class Matrix:
-    """An immutable exact matrix: a tuple of row tuples and its column count.
+    """An immutable exact integer matrix: a tuple of row tuples and its column count.
 
     Matrix(rows, c) trusts its arguments (rows a tuple of c-tuples); intmat
     and the kernels check the entries of any input, a Matrix included, as
-    rat_inv's Matrix holds Fractions.  m[i, j] is an entry, m[i] a
-    row tuple and m[i:j] a Matrix of rows; m @ m2 is the exact product.
+    one can be built by hand around other entries.  m[i, j] is an entry,
+    m[i] a row tuple and m[i:j] a Matrix of rows; m @ m2 is the exact product.
     There is no other arithmetic: n * m and m + m raise TypeError (they are
     not the entrywise numpy operations).
     """
@@ -93,10 +88,7 @@ def _rows(m) -> tuple[list[list[int]], int]:
         c = len(rows[0]) if rows else 0
         if any(len(r) != c for r in rows):
             raise ValueError("matrix must be rectangular")
-    try:
-        return [list(map(index, r)) for r in rows], c
-    except TypeError:
-        return [list(map(_int, r)) for r in rows], c
+    return [list(map(index, r)) for r in rows], c
 
 
 def _matrix(rows: list[list], c: int) -> Matrix:
@@ -238,7 +230,7 @@ def kernel_basis(m) -> Matrix:
 
 
 def _bareiss(a: list[list[int]], u: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) Gauss-Jordan of the square int rows a, in place,
+    """Bareiss's fraction-free Gauss-Jordan of the square int rows a, in place,
     to D*I, D = +-det(a) the last pivot; every row operation (its divisions
     exact) is applied to the rows u of any width, zero too.  Returns det(a),
     or 0 at the first column with no pivot."""
@@ -273,21 +265,14 @@ def det(m):
     return _bareiss(a, [[] for _ in a])
 
 
-def _rat_inv(m) -> tuple[int, list[list[int]]]:
-    """(D, rows) with m^-1 = rows / D, D = +-det(m), all Python ints: _bareiss
-    turns m into D*I and the identity into D*m^-1.  Singular m raises
-    ZeroDivisionError."""
+def rat_inv(m) -> tuple[int, Matrix]:
+    """(D, M) with m^-1 = M / D, D = +-det(m) and M an integer Matrix:
+    _bareiss turns m into D*I and the identity into D*m^-1.  Singular m
+    raises ZeroDivisionError."""
     a, n = _rows(m)
     if len(a) != n:
         raise ValueError("inverse requires a square matrix")
     u = _eye(n)
     if not _bareiss(a, u):
         raise ZeroDivisionError("matrix is singular")
-    return (a[0][0] if n else 1), u
-
-
-def rat_inv(m) -> Matrix:
-    """Exact inverse of a square integer matrix, entries as Fractions: the
-    integer inverse _rat_inv divided out."""
-    d, rows = _rat_inv(m)
-    return _matrix([[Fraction(x, d) for x in row] for row in rows], len(rows))
+    return (a[0][0] if n else 1), _matrix(u, n)

@@ -201,8 +201,6 @@ def discriminant_group(L: IntegralLattice) -> DiscriminantGroup:
     S[i, i].  With the columns reduced mod S[i, i] into W, b and q are the
     entries of the integer matrix W^T G W divided by S[i, i] S[j, j].
     """
-    if L.rank == 0:
-        return DiscriminantGroup((), (), (), ())
     s, _, v = snf(L.gram)
     divs = s.diagonal()
     if 0 in divs:

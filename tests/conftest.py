@@ -13,6 +13,15 @@ def pytest_configure(config):
     config.stash[_STDERR] = os.dup(2)
 
 
+def pytest_collectstart(collector):
+    # importing a test module runs its module-level code: watched like a test
+    faulthandler.dump_traceback_later(30, exit=True, file=collector.config.stash[_STDERR])
+
+
+def pytest_collectreport(report):
+    faulthandler.cancel_dump_traceback_later()
+
+
 @pytest.fixture(autouse=True)
 def watchdog(request):
     # a test past 30 s ends the run with a traceback that names it; a process

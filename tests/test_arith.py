@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3enriques import arith
 from k3enriques.arith import (
     HODGE_SLOPES,
     NewtonPolygon,
     _MR_BASES,
     _PSI,
     _heights,
+    _jacobi,
     _miller_rabin,
     _prime_powers,
     _strong_lucas,
@@ -68,9 +70,12 @@ def test_is_odd_prime_rejects_strong_pseudoprimes(n):
 
 
 def test_psi_table():
-    # psi_t passes the first t bases, so is_odd_prime must use more bases for it
+    # psi_t passes the first t bases, so is_odd_prime must use more bases for
+    # it; base t + 1 refuses it exactly where psi_t < psi_{t+1}
     for t, psi in enumerate(_PSI, 1):
         assert _miller_rabin(psi, _MR_BASES[:t]), t
+        if t < len(_PSI):
+            assert _miller_rabin(psi, _MR_BASES[: t + 1]) == (psi == _PSI[t]), t
         assert not is_odd_prime(psi), t
 
 
@@ -89,6 +94,29 @@ def test_strong_lucas_pseudoprimes_below_1e5():
         5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
     ]
     assert all(_strong_lucas(n) for n in tested if trial_is_prime(n))
+
+
+def test_strong_lucas_stops_on_a_factor_of_n(monkeypatch):
+    # the Selfridge search for D meets a factor of 43 * 135277 (D = -43)
+    # before any D with (D/n) = -1
+    assert not _strong_lucas(43 * 135277)
+    # on a square, (D/n) is never -1 and the search would walk up to the least
+    # prime factor of its root: the square is refused before the search
+    monkeypatch.setattr(arith, "_jacobi", None)
+    assert not _strong_lucas((2**61 - 1) ** 2)
+
+
+def test_jacobi_is_the_product_of_legendre_symbols():
+    # (a/n) over the prime factors q of n with multiplicity, each by Euler's
+    # criterion: 0 exactly when gcd(a, n) > 1
+    for n in range(1, 300, 2):
+        qs, m = [], n
+        for q in range(3, n + 1, 2):
+            while m % q == 0:
+                qs.append(q)
+                m //= q
+        for a in range(-n, 2 * n):
+            assert _jacobi(a, n) == math.prod((pow(a, (q - 1) // 2, q) + 1) % q - 1 for q in qs)
 
 
 @settings(max_examples=100, deadline=None)

@@ -554,7 +554,7 @@ def test_gamma2_in_k3_runs_each_kernel_once_per_need(monkeypatch):
     # shared by the degeneracy warning and its discriminant, and the
     # complement's signature and determinant; no det: the model's
     # discriminant is a cached package constant; _bareiss: the glue inverse
-    # _rat_inv; the Smith diagonal: the embedding's basis, computed once by
+    # rat_inv; the Smith diagonal: the embedding's basis, computed once by
     # the constructor, which refuses dependent rows on it, and read again by
     # is_primitive, and the complement's divisors; _hnf: the kernel, one pass
     # per Smith diagonal and the glue group's Hermite basis; @: b G and

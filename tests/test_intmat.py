@@ -14,7 +14,6 @@ from k3enriques.checker import build_case
 from k3enriques.embeddings import LatticeEmbedding
 from k3enriques.intmat import (
     Matrix,
-    _rat_inv,
     _snf_diagonal,
     det,
     hnf,
@@ -210,27 +209,29 @@ def test_rat_inv_against_fraction_oracle():
         if det(m) == 0:
             continue
         tried += 1
-        inv = rat_inv(m)
-        assert all(type(x) is Fraction for x in inv.flat)
-        assert (arr(inv) @ m == np.identity(n, dtype=object)).all()
-        assert inv.tolist() == fraction_inv(m.tolist())
+        d, inv = rat_inv(m)
+        assert type(d) is int and abs(d) == abs(det(m))
+        assert type(inv) is Matrix and all(type(x) is int for x in inv.flat)
+        assert (arr(inv) @ m == d * np.identity(n, dtype=object)).all()
+        assert [[Fraction(x, d) for x in row] for row in inv] == fraction_inv(m.tolist())
 
 
 def test_kernels_refuse_a_fraction_matrix():
-    # rat_inv returns a Matrix of Fractions: no kernel may floor-divide them
-    inv = rat_inv([[2, 0], [0, 3]])
+    # a Matrix holds ints; one built by hand around Fractions is refused by
+    # every kernel, not floor-divided
+    half = Matrix(((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 3))), 2)
     for kernel in (det, hnf, snf, kernel_basis, rat_inv, intmat):
         with pytest.raises(TypeError):
-            kernel(inv)
+            kernel(half)
     with pytest.raises(TypeError):
-        IntegralLattice(inv)
-    # integral Fractions are integers, as in any other input
-    assert intmat(rat_inv([[1, 1], [0, 1]])).tolist() == [[1, -1], [0, 1]]
+        IntegralLattice(half)
+    # an integral Fraction is a Fraction: refused too
+    with pytest.raises(TypeError):
+        intmat(Matrix(((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1))), 2))
 
 
 def test_rat_inv_refusals():
-    assert rat_inv([]).shape == (0, 0)
-    assert _rat_inv([]) == (1, [])  # D = det of the empty matrix
+    assert rat_inv([]) == (1, Matrix((), 0))  # D = det of the empty matrix
     with pytest.raises(ZeroDivisionError):
         rat_inv([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="square"):
@@ -248,10 +249,14 @@ def test_non_integer_entries_are_refused_not_truncated():
         LatticeEmbedding(builtin("U"), [[0.5, 1.9]])
     with pytest.raises(TypeError):
         diag_lattice([2, 1.5])
-    # integral Fractions (overlattice passes them) and numpy integers are integers
-    m = intmat([[Fraction(4, 2), np.int64(-3)]])
+    # integral Fractions are refused like any other non-integer
+    with pytest.raises(TypeError):
+        intmat([[Fraction(4, 2), -3]])
+    with pytest.raises(TypeError):
+        det([[Fraction(-6, 3)]])
+    # numpy integers are integers
+    m = intmat([[2, np.int64(-3)]])
     assert m.tolist() == [[2, -3]] and all(type(x) is int for x in m.flat)
-    assert det([[Fraction(-6, 3)]]) == -2
 
 
 @st.composite

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from k3enriques.arith import _prime_powers
 from k3enriques.intmat import det
 from k3enriques.lattice import (
+    DiscriminantGroup,
     IntegralLattice,
     _divisors,
     _ldl,
@@ -187,8 +188,10 @@ def test_discriminant_examples():
 
 
 def test_discriminant_group_unimodular_trivial():
-    dg = discriminant_group(builtin("Gamma"))
-    assert dg.divisors == () and dg.order == 1
+    for L in (builtin("Gamma"), IntegralLattice([])):  # rank 0 is unimodular too
+        dg = discriminant_group(L)
+        assert dg.divisors == () and dg.order == 1
+        assert dg == DiscriminantGroup((), (), (), ())
 
 
 def test_discriminant_group_u2():
