@@ -3,8 +3,11 @@
 For a pair (sigma, d) the rank-10 ambient U(2) + E8(2) receives an explicit
 diagonal sublattice; the orthogonal complement's invariants (rank,
 definiteness, divisor multiset, root-freeness, discriminant identities) are
-all checked exactly and recorded with their witness data.  A certificate
-re-verifies by rebuilding the case from its own sigma and d.  The verdict
+all checked exactly and recorded with their witness data.  Each sigma's
+cases are proven once for every d: the certificate of (sigma, d) is affine
+in d, so it is fitted from two computed cases and its claims are proven as
+polynomial identities of degree <= 2 in d.  A certificate re-verifies by
+comparison with that template at its own sigma and d.  The verdict
 for (p, sigma) combines the residue search for d, the p > 8d norm bound,
 and the case certificate.
 """
@@ -15,6 +18,7 @@ import io
 import marshal
 from dataclasses import dataclass, field, fields
 from functools import cache
+from itertools import combinations
 from math import isqrt
 from types import MappingProxyType
 
@@ -37,7 +41,7 @@ from .embeddings import (
     orthogonal_complement,
 )
 from .enumeration import count_norm
-from .intmat import rat_inv
+from .intmat import det, intmat, rat_inv
 from .lattice import (
     IntegralLattice,
     _divisors,
@@ -306,12 +310,228 @@ def _case_args_error(sigma: int, d: int) -> str | None:
     return None
 
 
+_PRIME_POWER_KEYS = ("computed_prime_powers", "formula_prime_powers")
+
+
+def _fit(x2, x3, leaves: list):
+    """The report or document x, given as x2 at d = 2 and x3 at d = 3, as a
+    function f(d, pp) in which every int is affine in d: f(2, pp) is x2 and
+    f(3, pp) is x3 once pp is the prime-power list that the two witnesses
+    named in _PRIME_POWER_KEYS hold.  A part equal at 2 and 3 is returned as
+    it is, shared, not copied; the (a, b) of each int a + b*d go into leaves.
+    Raises ValueError where x2 and x3 differ in anything but ints."""
+    t = type(x2)
+    if t is not type(x3):
+        raise ValueError(f"{x2!r} at d = 2 and {x3!r} at d = 3 differ in type")
+    if x2 == x3:
+        return lambda d, pp: x2
+    if t is int:
+        b = x3 - x2
+        a = x2 - 2 * b
+        leaves.append((a, b))
+        return lambda d, pp: a + b * d
+    if t in (tuple, list) and len(x2) == len(x3):
+        items = [_fit(u, v, leaves) for u, v in zip(x2, x3)]
+        return lambda d, pp: t([f(d, pp) for f in items])
+    if t in (dict, MappingProxyType) and x2.keys() == x3.keys():
+        fits = {
+            k: (lambda d, pp: pp) if k in _PRIME_POWER_KEYS else _fit(v, x3[k], leaves)
+            for k, v in x2.items()
+        }
+        return lambda d, pp: {k: f(d, pp) for k, f in fits.items()}
+    if t in (CaseCertificate, Check):
+        fits = {k: _fit(v, getattr(x3, k), leaves) for k, v in vars(x2).items()}
+        return lambda d, pp: t(**{k: f(d, pp) for k, f in fits.items()})
+    raise ValueError(f"{x2!r} at d = 2 and {x3!r} at d = 3 are not affine in d")
+
+
+def _unit_minor(b: list) -> bool:
+    """Whether the rows of b[0] + d (b[1] - b[0]) have a maximal minor that
+    is +-1 for every d: one on columns that d does not enter."""
+    b0, b1 = b[0].rows, b[1].rows
+    fixed = [j for j, (u, v) in enumerate(zip(zip(*b0), zip(*b1))) if u == v]
+    return any(
+        abs(det([[row[j] for j in cols] for row in b0])) == 1
+        for cols in combinations(fixed, len(b0))
+    )
+
+
+def _block(g: list):
+    """(c, R, signature, a) when g[0] + d (g[1] - g[0]) is the Gram matrix of
+    <c d> plus a constant nondegenerate block R: d enters one diagonal entry
+    only, whose row and column are 0 in the symmetric g[0].  For every d >= 1
+    the whole then has that signature and determinant a*d.  Else None."""
+    g0, g1 = g[0].rows, g[1].rows
+    n = len(g0)
+    moved = [(i, j) for i in range(n) for j in range(n) if g0[i][j] != g1[i][j]]
+    if len(moved) != 1 or moved[0][0] != moved[0][1] or any(g0[moved[0][0]]):
+        return None
+    i = moved[0][0]
+    c, block = g1[i][i], IntegralLattice([r[:i] + r[i + 1 :] for r in g0[:i] + g0[i + 1 :]])
+    if not discriminant(block):
+        return None
+    plus, minus = signature(block)
+    return c, block, (plus + (c > 0), minus + (c < 0)), c * discriminant(block)
+
+
+_AT = (0, 1, 2)  # the d at which _disproved evaluates a template, each its own index
+
+
+def _disproved(sigma: int, template) -> list[str]:
+    """The claims about sigma's case certificate template(d, pp) that fail.
+
+    Every int of the template is affine in d and the ambient G is fixed, so
+    each claim is a polynomial identity of degree <= 2 in d or a fact about
+    fixed blocks.  A polynomial of degree <= 2 with three roots is 0, so an
+    identity that holds at the three d of _AT holds for every d.  Each
+    witness is compared with the value the claims prove; the prime-power
+    lists are left out: their divisors are equal multisets for every d.
+    """
+    case, g, n_rank = _CASES[sigma], _gamma2().gram, 12 - 2 * sigma
+    at = [template(x, ()) for x in _AT]
+    w = [{check.name: check.witness for check in t.checks} for t in at]
+    e = [intmat(t.embedding_basis) for t in at]
+    c = [intmat(t.complement_basis) for t in at]
+    comp = [intmat(t.complement_gram) for t in at]
+    emb = [intmat(ws["embedded_gram_diagonal"]["gram"]) for ws in w]
+    k = e[0].shape[0]
+    claims = {
+        "E is the case basis": all(e[x] == intmat(_case_basis(case, x)) for x in _AT),
+        "E G C^T = 0": all(not any((e[x] @ g @ c[x].T).flat) for x in _AT),
+        "C G C^T is the complement Gram": all(c[x] @ g @ c[x].T == comp[x] for x in _AT),
+        "E G E^T is the embedded Gram diag(4 d_sign d, -4, ..., -4)": all(
+            e[x] @ g @ e[x].T == emb[x]
+            and not any(v for i, row in enumerate(emb[x]) for j, v in enumerate(row) if i != j)
+            and emb[x].diagonal()
+            == w[x]["embedded_gram_diagonal"]["expected_diagonal"]
+            == (4 * case.d_sign * x,) + (-4,) * (k - 1)
+            for x in _AT
+        ),
+        "E and C have a constant unit maximal minor, so C spans E^perp": _unit_minor(e)
+        and _unit_minor(c)
+        and c[0].shape[0] == 10 - k
+        and all(ws["embedding_primitive"]["snf_divisors"] == (1,) * k for ws in w),
+    }
+    if not all(claims.values()):
+        return [name for name, holds in claims.items() if not holds]
+    n_gram, m_gram = (comp, emb) if case.d_sign == 1 else (emb, comp)
+    n_block, m_block = _block(n_gram), _block(m_gram)
+    if not (n_block and m_block):
+        return ["N and M are <c d> plus a constant block"]
+
+    (cn, rn, sig_n, det_n), (_, rm, sig_m, det_m) = n_block, m_block
+    divs = tuple(_divisors(rn))
+    dt = 4**case.dt_power
+    index_sq = 1024 * det_n // dt
+    claims = {
+        "every check passes": all(t.passed and all(ch.passed for ch in t.checks) for t in at),
+        "N has rank 12 - 2 sigma, M 2 sigma - 2 and C 10 - rank E": rn.rank + 1 == n_rank
+        and rm.rank + 1 == 2 * sigma - 2
+        and all(
+            ws["complement_rank"]
+            == {"complement_rank": 10 - k, "n_rank": n_rank, "n_rank_expected": n_rank}
+            for ws in w
+        ),
+        "N is negative definite": sig_n == (0, n_rank)
+        and all(ws["n_negative_definite"]["signature"] == sig_n for ws in w),
+        "M has signature (1, rank M - 1)": sig_m == (1, 2 * sigma - 3)
+        and all(ws["m_side_signature"]["signature"] == sig_m for ws in w),
+        "N's norms lie in 4Z, so N has no root": cn % 4 == 0
+        and all(v % 4 == 0 for v in rn.gram.diagonal())
+        and all(v % 2 == 0 for v in rn.gram.flat)
+        and all(
+            ws["n_norms_in_4Z"] == {"gram_even": True, "diagonal_mod4_zero": True}
+            and ws["n_root_free"] == {"enumeration_count": 0, "mod4_shortcut": True}
+            for ws in w
+        ),
+        "N's divisors are its block's, then 4d, as a chain": abs(cn) == 4
+        and all(4 % v == 0 for v in divs)
+        and all(w[x]["n_divisors"]["computed"] == (*divs, 4 * x) for x in _AT),
+        "N's divisors are (4d, *n_divisors) as a multiset": sorted(divs)
+        == sorted(case.n_divisors)
+        and all(w[x]["n_divisors"]["formula"] == (4 * x, *case.n_divisors) for x in _AT),
+        "det M gives the transcendental and Neron-Severi discriminants": -det_m == dt
+        and all(
+            w[x]["transcendental_disc"] == {"computed": dt * x, "expected": dt * x}
+            and w[x]["neron_severi_disc"] == {"value": -dt * x, "expected": -dt * x}
+            for x in _AT
+        ),
+        "the glue index is a constant square": 1024 * det_n % dt == 0
+        and 0 <= index_sq == isqrt(index_sq) ** 2
+        and all(
+            w[x]["glue_index_integral"] == {"d_n": det_n * x, "index_squared": index_sq}
+            for x in _AT
+        ),
+    }
+    return [name for name, holds in claims.items() if not holds]
+
+
+_SAMPLES = (1, 2, 3, 4, 5)
+
+
+class _Family:
+    """The cases of one sigma for every d >= 1, from _compute_case at each d
+    of _SAMPLES: the computed case at d = 1, and for d >= 2 the template
+    fitted at d = 2 and 3, as certificate and as document.  Parts that do
+    not depend on d are shared.  _family proves it before any use."""
+
+    def __init__(self, sigma: int):
+        self.samples = {d: _compute_case(sigma, d) for d in _SAMPLES}
+        self.docs = {d: s.to_doc() for d, s in self.samples.items()}
+        self.cert = _fit(self.samples[2], self.samples[3], [])  # cert(d, pp)
+        self.leaves = []  # the (a, b) of every int a + b*d of doc
+        self.doc = _fit(self.docs[2], self.docs[3], self.leaves)  # doc(d, pp)
+        self.base = tuple(q for x in _CASES[sigma].n_divisors for q in _prime_powers(x))
+
+    def prime_powers(self, d: int) -> tuple:
+        """The sorted prime powers of N's divisors: the base's and 4d's."""
+        return tuple(sorted((*self.base, *_prime_powers(4 * d))))
+
+    def case(self, d: int) -> CaseCertificate:
+        return self.samples[1] if d == 1 else self.cert(d, self.prime_powers(d))
+
+    def document(self, d: int) -> dict:
+        """The document of case(d), to compare with only: it shares parts
+        with the family.  Like json.dumps, it raises ValueError on an int
+        too long to print."""
+        if d == 1:
+            return self.docs[1]
+        str(max(abs(a + b * d) for a, b in self.leaves))
+        return self.doc(d, list(self.prime_powers(d)))
+
+
+@cache  # one family per sigma, built on first use: keyed by sigma, never by d
+def _family(sigma: int) -> _Family:
+    """sigma's cases, proven once for every d.
+
+    _compute_case runs at each d of _SAMPLES with all its checks, count_norm
+    included.  The template, fitted at d = 2 and 3, must prove the claims of
+    _disproved and equal the computed case at every sample from 2 on.  d = 1
+    is served by its own computed case, which must pass: at sigma 2 and 3
+    the template's complement row (1, -d) is the negative of the one
+    computed there.  Raises ValueError naming each claim that fails.
+    """
+    fam = _Family(sigma)
+    fails = _disproved(sigma, fam.cert)
+    fails += [
+        f"the template is the computed case at d = {d}"
+        for d, doc in fam.docs.items()
+        if d > 1 and not (_same(fam.case(d).to_doc(), doc) and _same(fam.document(d), doc))
+    ]
+    if not fam.samples[1].passed:
+        fails.append("the computed case at d = 1 passes every check")
+    if fails:
+        raise ValueError(f"the cases of sigma {sigma} are not proven: {'; '.join(fails)}")
+    return fam
+
+
 @cache
 def build_case(sigma: int, d: int) -> CaseCertificate:
-    """Build and check the explicit construction for (sigma, d)."""
+    """The certificate of the explicit construction for (sigma, d), from
+    sigma's family, which is proven for every d on first use."""
     if error := _case_args_error(sigma, d):
         raise ValueError(error)
-    return _compute_case(sigma, d)
+    return _family(sigma).case(d)
 
 
 _DOC_FIELDS = tuple(f.name for f in fields(CaseCertificate))
@@ -342,13 +562,14 @@ def _same_tree(a, b) -> bool:
 def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     """Re-verify a certificate document from its own sigma and d.
 
-    A document verifies iff it equals the document rebuilt from its own sigma
-    and d, JSON type for type (1, 1.0 and true differ) and lists in order,
-    and every rebuilt check passes.  Before any exact work the document must
-    be a JSON object with exactly the nine fields of CaseCertificate.to_doc,
-    sigma and d JSON integers, and (sigma, d) a pair build_case accepts.  No
-    other field reaches exact work.  A refusal names each top-level field
-    that differs and each rebuilt check that fails.
+    A document verifies iff it equals the document of build_case(sigma, d)
+    for its own sigma and d, JSON type for type (1, 1.0 and true differ) and
+    lists in order; that document comes from sigma's family, whose claims are
+    proven for every d, so every check in it passes.  Before any exact work
+    the document must be a JSON object with exactly the nine fields of
+    CaseCertificate.to_doc, sigma and d JSON integers, and (sigma, d) a pair
+    build_case accepts.  No other field reaches exact work.  A refusal names
+    each top-level field that differs.
     """
     if not isinstance(doc, dict):
         return False, ["certificate is not a JSON object"]
@@ -363,16 +584,14 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     if error := _case_args_error(doc["sigma"], doc["d"]):
         return False, [error]
     try:
-        fresh = _compute_case(doc["sigma"], doc["d"]).to_doc()
-    except ValueError as exc:  # no JSON text for an entry of over 4300 digits, e.g. 1024 d
+        fresh = _family(doc["sigma"]).document(doc["d"])
+    except ValueError as exc:  # an unproven family, or an entry of over 4300 digits
         return False, [f"recomputation failed: {exc}"]
-    if _same(doc, fresh) and fresh["passed"]:
+    if _same(doc, fresh):
         return True, []
-    messages = [
+    return False, [
         f"{k} does not match recomputation" for k in _DOC_FIELDS if not _same(doc[k], fresh[k])
     ]
-    messages += [f"check {c['name']} fails" for c in fresh["checks"] if not c["passed"]]
-    return False, messages
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -71,7 +72,14 @@ def _run(tmp: Path, tests: list[str]) -> str:
     return "survived" if run.returncode == 0 else "killed"
 
 
+def _terminate(signum, frame):
+    # SystemExit unwinds the with-block: subprocess.run kills its test
+    # process and TemporaryDirectory removes the copy
+    sys.exit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _terminate)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("targets", nargs="+", help="MODULE:NAME or MODULE:NAME:FIRST-LAST")
     ap.add_argument("-t", "--tests", nargs="+", required=True, help="test files, from the root")

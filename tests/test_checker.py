@@ -311,6 +311,252 @@ def test_compute_case_passes_with_snf_divisors(sigma, d):
     assert _check(cert, "n_divisors").witness["computed"] == tuple(oracle)
 
 
+def _prime_at_most(n):
+    return next(q for q in range(n, 1, -1) if q == 2 or arith.is_odd_prime(q))
+
+
+# d = 2^a 3^b 5^c q below 2^4064, q a prime below 10^6: factoring 4d stays
+# trial division, however long d is
+_SMOOTH_D = st.builds(
+    lambda a, b, c, q: 2**a * 3**b * 5**c * _prime_at_most(q),
+    st.integers(0, 1350),
+    st.integers(0, 850),
+    st.integers(0, 580),
+    st.integers(2, 10**6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.one_of(_SMOOTH_D, st.integers(2, 10**12)))
+def test_template_is_the_computed_case(sigma, d):
+    computed = checker._compute_case(sigma, d).to_doc()
+    assert checker._same(build_case(sigma, d).to_doc(), computed)
+    assert verify_certificate(computed) == (True, [])
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 4, 5])
+def test_d_1_is_served_by_its_computed_case(sigma):
+    # at d = 1 and sigma 2 and 3 the computed complement row (1, -d) comes
+    # out negated against the template, and nothing else differs; build_case
+    # serves the computed case there
+    family = checker._family(sigma)
+    computed = checker._compute_case(sigma, 1).to_doc()
+    assert checker._same(build_case(sigma, 1).to_doc(), computed)
+    template = family.cert(1, family.prime_powers(1)).to_doc()
+    differ = {
+        path: (value, other)
+        for (path, value), (_, other) in zip(_leaves(template), _leaves(computed))
+        if value != other
+    }
+    if sigma in (2, 3):
+        r = next(r for r, row in enumerate(template["complement_basis"]) if row[0])
+        assert differ == {("complement_basis", r, 0): (1, -1), ("complement_basis", r, 1): (-1, 1)}
+    else:
+        assert differ == {}
+
+
+def test_warm_families_build_and_verify_without_kernels(monkeypatch):
+    for sigma in (2, 3, 4, 5):
+        checker._family(sigma)
+    build_case.cache_clear()
+    calls = _count_kernels(monkeypatch)
+    counted = checker.count_norm
+    monkeypatch.setattr(
+        checker, "count_norm", lambda *a: calls.update(["count_norm"]) or counted(*a)
+    )
+    for sigma in (2, 3, 4, 5):
+        for d in (1, 10**12 + 39, 2**127 - 1, 2**4000 * 3):
+            doc = json.loads(json.dumps(build_case(sigma, d).to_doc()))
+            assert verify_certificate(doc) == (True, [])
+    assert not calls, calls
+
+
+def test_family_computes_only_its_samples(monkeypatch):
+    computed, compute = [], checker._compute_case
+    monkeypatch.setattr(
+        checker, "_compute_case", lambda sigma, d: computed.append((sigma, d)) or compute(sigma, d)
+    )
+    checker._family.cache_clear()
+    build_case.cache_clear()
+    for sigma in (2, 3, 4, 5):
+        doc = build_case(sigma, 999999937).to_doc()
+        assert verify_certificate(doc) == (True, [])
+    assert sorted(computed) == [(s, d) for s in (2, 3, 4, 5) for d in checker._SAMPLES]
+    # only build_case's cache is keyed by d, and clearing it keeps the families
+    caches = {name: f for name, f in vars(checker).items() if hasattr(f, "cache_clear")}
+    assert set(caches) == {"_gamma2", "_lambda_k3", "_family", "build_case"}
+    sizes = {name: f.cache_info().currsize for name, f in caches.items()}
+    build_case.cache_clear()
+    for sigma in (2, 3, 4, 5):
+        assert verify_certificate(build_case(sigma, 10**9 + 7).to_doc()) == (True, [])
+    sizes["build_case"] = 4
+    assert {name: f.cache_info().currsize for name, f in caches.items()} == sizes
+    assert len(computed) == 20
+
+
+def _detached_e8(rows):
+    # the ambient with its last E8(2) vector cut off from the others and of
+    # norm -2: a root orthogonal to the case basis of sigma 2, so it lies in N
+    rows = [list(r) for r in rows]
+    for i in range(9):
+        rows[i][9] = rows[9][i] = 0
+    rows[9][9] = -2
+    ambient = IntegralLattice(rows)
+    return lambda: ambient
+
+
+@pytest.mark.parametrize(
+    "sigma, patch, claim",
+    [
+        (
+            5,
+            lambda: checker._CASES.update(
+                {5: dataclasses.replace(checker._CASES[5], n_divisors=(5,))}
+            ),
+            "N's divisors are (4d, *n_divisors) as a multiset",
+        ),
+        (
+            3,
+            lambda: checker._CASES.update(
+                {3: dataclasses.replace(checker._CASES[3], e_columns=(2, 4, 6))}
+            ),
+            "E G E^T is the embedded Gram",
+        ),
+        (
+            2,
+            lambda: setattr(checker, "_gamma2", _detached_e8(checker._gamma2().gram.rows)),
+            "N's norms lie in 4Z, so N has no root",
+        ),
+    ],
+    ids=["n_divisors-off-by-one", "e_columns-not-orthogonal", "ambient-with-a-root"],
+)
+def test_family_proof_can_fail(monkeypatch, sigma, patch, claim):
+    # every vector of U(2) + E8(2) has norm in 4Z, so no _CASES entry gives N
+    # a root; the ambient is patched for that claim instead
+    doc = json.loads(json.dumps(build_case(sigma, 7).to_doc()))
+    monkeypatch.setattr(checker, "_CASES", dict(checker._CASES))
+    monkeypatch.setattr(checker, "_gamma2", checker._gamma2)
+    patch()
+    checker._family.cache_clear()
+    build_case.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=f"the cases of sigma {sigma} are not proven: .*"):
+            checker._family(sigma)
+        with pytest.raises(ValueError) as raised:
+            build_case(sigma, 7)
+        assert claim in str(raised.value)
+        ok, messages = verify_certificate(doc)
+        assert not ok and len(messages) == 1 and claim in messages[0]
+    finally:
+        checker._family.cache_clear()
+        build_case.cache_clear()
+
+
+def _with_witness(name, **changes):
+    # the template with one witness of the named check changed at every d
+    def change(cert):
+        checks = tuple(
+            dataclasses.replace(c, witness={**c.witness, **changes}) if c.name == name else c
+            for c in cert.checks
+        )
+        return dataclasses.replace(cert, checks=checks)
+
+    return change
+
+
+def _with_failing(name):
+    def change(cert):
+        checks = tuple(dataclasses.replace(c, passed=c.name != name) for c in cert.checks)
+        return dataclasses.replace(cert, checks=checks)
+
+    return change
+
+
+def _with_mixed_complement(cert):
+    # C replaced by U C, U unimodular: E G C^T = 0, C G C^T, the unit minor
+    # and the span hold, but the row carrying d is added to another row, so
+    # N is no longer <-4d> plus a constant block
+    rows = [list(r) for r in cert.complement_basis]
+    r = next(r for r, row in enumerate(rows) if row[0])
+    rows[r - 1] = [a + b for a, b in zip(rows[r - 1], rows[r])]
+    c = intmat(rows)
+    gram = c @ checker._gamma2().gram @ c.T
+    return dataclasses.replace(cert, complement_basis=c.rows, complement_gram=gram.rows)
+
+
+@pytest.mark.parametrize(
+    "change, claim",
+    [
+        (_with_failing("n_root_free"), "every check passes"),
+        (_with_witness("embedding_primitive", snf_divisors=(1, 2)), "E and C have a constant unit"),
+        (_with_mixed_complement, "N and M are <c d> plus a constant block"),
+        (_with_witness("complement_rank", complement_rank=7), "N has rank 12 - 2 sigma"),
+        (_with_witness("n_negative_definite", signature=(1, 7)), "N is negative definite"),
+        (_with_witness("m_side_signature", signature=(2, 0)), "M has signature"),
+        (_with_witness("n_root_free", enumeration_count=1), "N's norms lie in 4Z"),
+        (_with_witness("n_divisors", computed=(2, 4)), "N's divisors are its block's"),
+        (_with_witness("neron_severi_disc", value=0), "det M gives"),
+        (_with_witness("glue_index_integral", index_squared=0), "the glue index"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else "",
+)
+def test_family_claim_fails_on_a_changed_template(change, claim):
+    # each claim on its own: the true template of sigma 2 with one part changed
+    family = checker._family(2)
+    assert checker._disproved(2, family.cert) == []
+    failed = checker._disproved(2, lambda d, pp: change(family.cert(d, pp)))
+    assert len(failed) == 1 and failed[0].startswith(claim), failed
+
+
+@pytest.mark.parametrize(
+    "d, claim",
+    [
+        (4, "the template is the computed case at d = 4"),
+        (1, "the computed case at d = 1 passes every check"),
+    ],
+)
+def test_family_refuses_a_sample_off_the_template(monkeypatch, d, claim):
+    # a computed case that the template does not give (d = 4), or one that
+    # fails a check (d = 1), with every claim about the template holding
+    compute = checker._compute_case
+    if d == 1:
+        change = lambda cert: dataclasses.replace(_with_failing("n_root_free")(cert), passed=False)
+    else:
+        change = _with_mixed_complement
+
+    def doctored(sigma, at):
+        return change(compute(sigma, at)) if at == d else compute(sigma, at)
+
+    monkeypatch.setattr(checker, "_compute_case", doctored)
+    checker._family.cache_clear()
+    try:
+        with pytest.raises(ValueError) as raised:
+            checker._family(2)
+        assert str(raised.value) == f"the cases of sigma 2 are not proven: {claim}"
+    finally:
+        checker._family.cache_clear()
+
+
+def test_unit_minor_and_block_read_the_d_free_part():
+    def pair(f):
+        return [intmat(f(0)), intmat(f(1))]
+
+    assert checker._unit_minor(pair(lambda d: [[1, d, 0], [0, 0, 1]]))
+    assert not checker._unit_minor(pair(lambda d: [[1, d, 0], [0, 0, 2]]))
+    # [[d]] is the unit [[1]] at d = 1 only
+    assert not checker._unit_minor(pair(lambda d: [[d]]))
+    c, block, sig, a = checker._block(pair(lambda d: [[-4, 0], [0, d]]))
+    assert (c, block.gram.rows, sig, a) == (1, ((-4,),), (1, 1), -4)
+    for f in (
+        lambda d: [[d, 0], [0, d]],  # d in two entries
+        lambda d: [[0, d], [d, 0]],  # off the diagonal
+        lambda d: [[d, 1], [1, -4]],  # its row is not 0
+        lambda d: [[d, 0], [0, 0]],  # a degenerate block
+        lambda d: [[-2, 0], [0, -4]],  # no d at all
+    ):
+        assert checker._block(pair(f)) is None
+
+
 def _leaves(node, path=()):
     # (path, value) of every JSON leaf below node
     if isinstance(node, (dict, list)):

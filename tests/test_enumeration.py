@@ -77,6 +77,7 @@ def test_count_norm():
     assert count_norm(builtin("E8"), -2) == 240
     assert count_norm(diag_lattice([-2]), -2) == 2
     assert count_norm(diag_lattice([-4, -4]), -2) == 0
+    assert count_norm(diag_lattice([1, 1, 3]), 1) == 4  # an odd norm: only 0 is refused
 
 
 def test_symmetry_and_order():

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -171,6 +172,26 @@ def test_ldl_last_minor_is_det(a):
     d, _ = _ldl(L.gram)
     assert d[-1] == det(a)
     assert discriminant(L) == det(a)  # degenerate forms too
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7), st.booleans())
+def test_ldl_rows_sum_the_form_in_squares(seed, n, positive):
+    # the documented identity x^T G x = sum_k (r[k] . x)^2 / (d[k] d[k+1])
+    # on a definite form, where no swap or hyperbolic step runs
+    rng = random.Random(seed)
+    b = [[0]]
+    while det(b) == 0:
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    g = [[(1 if positive else -1) * sum(map(mul, u, v)) for v in b] for u in b]
+    d, rows = _ldl(g)
+    for _ in range(5):
+        x = [rng.randint(-9, 9) for _ in range(n)]
+        form = sum(xi * gij * xj for xi, row in zip(x, g) for gij, xj in zip(row, x))
+        squares = sum(
+            Fraction(sum(map(mul, r, x)) ** 2, d[k] * d[k + 1]) for k, r in enumerate(rows)
+        )
+        assert form == squares
 
 
 def test_is_even():

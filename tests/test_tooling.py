@@ -2,15 +2,18 @@
 functions by name, so a rename must fail here too, a traced run through
 those wrappers must succeed, no function in the package or its tests holds
 an import, no module imports a name it does not use, the package exports
-exactly the pinned public names, the package runs without numpy, and the
-glue extension test runs on integers."""
+exactly the pinned public names, the package runs without numpy, the
+glue extension test runs on integers, and a mutation audit stopped by
+SIGTERM leaves no temporary copy behind."""
 import ast
 import dataclasses
 import importlib
 import importlib.util
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,3 +207,26 @@ def test_gamma2_glue_extension_builds_no_fraction(monkeypatch):
     assert not built and "elements" not in vars(g)
     # the counter sees construction: the elements view is built of Fractions
     assert len(g.elements) == 1024 and built
+
+
+def test_mutation_audit_removes_its_copy_on_sigterm(tmp_path):
+    # the audit copies the tree into a temporary directory, pyproject.toml
+    # last, then runs the tests on it; SIGTERM during that run removes it
+    audit = subprocess.Popen(
+        [sys.executable, str(ROOT / "tests" / "mutation_audit.py"), "enumeration:count_norm",
+         "-t", "tests/test_enumeration.py"],
+        env=dict(os.environ, TMPDIR=str(tmp_path)),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 20
+        while not list(tmp_path.glob("*/pyproject.toml")):
+            assert audit.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(0.5)  # the test run has started
+        audit.send_signal(signal.SIGTERM)
+        assert audit.wait(timeout=20) == 128 + signal.SIGTERM
+    finally:
+        audit.kill()
+    assert not list(tmp_path.iterdir())
