@@ -17,6 +17,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import k3enriques
 from k3enriques import checker, embeddings
 from k3enriques.embeddings import extends_to, identity_map, negation_map
@@ -209,9 +211,25 @@ def test_gamma2_glue_extension_builds_no_fraction(monkeypatch):
     assert len(g.elements) == 1024 and built
 
 
+def _test_runs_of(pid):
+    # the pids of pid's child processes that run pytest, read from /proc
+    runs = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rpartition(")")[2].split()[1])
+            if ppid == pid and b"pytest" in (stat.parent / "cmdline").read_bytes():
+                runs.append(int(stat.parent.name))
+        except (OSError, ValueError, IndexError):
+            pass  # the process ended while it was read
+    return runs
+
+
 def test_mutation_audit_removes_its_copy_on_sigterm(tmp_path):
-    # the audit copies the tree into a temporary directory, pyproject.toml
-    # last, then runs the tests on it; SIGTERM during that run removes it
+    # the audit copies the tree into a temporary directory, then runs the
+    # tests on it in a child process; SIGTERM during that run kills the
+    # child and removes the copy
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("reads the audit's child processes from /proc")
     audit = subprocess.Popen(
         [sys.executable, str(ROOT / "tests" / "mutation_audit.py"), "enumeration:count_norm",
          "-t", "tests/test_enumeration.py"],
@@ -221,12 +239,12 @@ def test_mutation_audit_removes_its_copy_on_sigterm(tmp_path):
     )
     try:
         deadline = time.monotonic() + 20
-        while not list(tmp_path.glob("*/pyproject.toml")):
+        while not (runs := _test_runs_of(audit.pid)):
             assert audit.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
-        time.sleep(0.5)  # the test run has started
         audit.send_signal(signal.SIGTERM)
         assert audit.wait(timeout=20) == 128 + signal.SIGTERM
     finally:
         audit.kill()
     assert not list(tmp_path.iterdir())
+    assert not any(Path(f"/proc/{pid}").exists() for pid in runs)
