@@ -496,9 +496,13 @@ def _family(sigma: int) -> _Family:
     _disproved and equal the computed case at d = 4 and 5.  d = 1
     is served by its own computed case, which must pass: at sigma 2 and 3
     the template's complement row (1, -d) is the negative of the one
-    computed there.  Raises ValueError naming each claim that fails.
+    computed there.  Raises ValueError naming each claim that fails, or
+    the error that stopped a sample's computation.
     """
-    fam = _Family(sigma)
+    try:
+        fam = _Family(sigma)
+    except ValueError as exc:  # a sample can raise: count_norm does on an indefinite N
+        raise ValueError(f"the cases of sigma {sigma} are not proven: {exc}") from exc
     fails = _disproved(sigma, fam.cert)
     fails += [
         f"the template is the computed case at d = {d}"

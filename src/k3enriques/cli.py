@@ -15,6 +15,9 @@ from .enumeration import short_vectors
 from .lattice import _divisors, discriminant, is_even, load_lattice, signature
 
 
+_BARE = str.maketrans("", "", "(),")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: it depends on no input, and parse_args keeps no
@@ -66,7 +69,8 @@ def _cmd_lattice(args) -> int:
         return 0
     report = short_vectors(L, abs(args.norm))
     hits = [v for v, nm in report.vectors if nm == args.norm]
-    print("\n".join([f"count: {len(hits)}", *(" ".join(map(str, v)) for v in hits)]))
+    # a coordinate tuple prints as "(1, -2)" or "(1,)": drop the punctuation
+    print("\n".join([f"count: {len(hits)}", *map(str, hits)]).translate(_BARE))
     return 0
 
 

@@ -34,7 +34,7 @@ class IntegralLattice:
         return self.gram.shape[0]
 
     @cached_property
-    def _elim(self) -> tuple[list[int], list[list[int]]]:
+    def _elim(self) -> tuple[list[int], list[list[int]], list[int] | None]:
         return _ldl(self.gram)  # once: the Gram matrix is an immutable Matrix
 
     def __eq__(self, other):
@@ -114,50 +114,63 @@ def is_even(L: IntegralLattice) -> bool:
     return all(x % 2 == 0 for x in L.gram.diagonal())
 
 
-def _ldl(gram) -> tuple[list[int], list[list[int]]]:
-    """Symmetric fraction-free (Bareiss) elimination of an integer Gram matrix.
+def _ldl(gram) -> tuple[list[int], list[list[int]], list[int] | None]:
+    """Symmetric fraction-free (Bareiss) elimination of an integer Gram matrix,
+    smallest pivot first.
 
-    Returns the leading minors d, d[0] = 1, and integer rows r with
-    x^T G x = sum_k (r[k] . x)^2 / (d[k] d[k+1]).  A zero pivot is replaced
-    by a symmetric swap or, when the remaining diagonal is all zero, by adding
-    one basis vector to another (this handles hyperbolic blocks such as U);
-    either step changes coordinates, and neither runs when all d are
-    positive.  A degenerate form ends d with 0.
+    Step k eliminates order[k], the coordinate whose remaining diagonal entry
+    has the smallest nonzero absolute value (the lowest coordinate on a tie).
+    No row moves: the remaining coordinates are kept in a list, and each row
+    r[k] is in the caller's coordinates, zero at order[:k] and d[k+1] at
+    order[k].  Returns the leading minors d of the form in that order,
+    d[0] = 1 and d[-1] = det G, the rows r, and order.  While order is set,
+    x^T G x = sum_k (r[k] . x)^2 / (d[k] d[k+1]) for every x.  When the
+    remaining diagonal is all zero, one basis vector is added to another
+    (this handles hyperbolic blocks such as U); that step changes
+    coordinates, so order is then None.  It never runs on a definite form.
+    Either way the pivot signs d[k+1] / d[k] are those of a congruent
+    diagonal form.  A degenerate form ends d with 0.
     """
     a = [list(row) for row in gram]
     n = len(a)
-    d, rows = [1], []
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if a[i][i]), None)
+    d, rows, order = [1], [], []
+    rest = list(range(n))  # the coordinates not yet eliminated, ascending
+    while rest:
+        piv = min((i for i in rest if a[i][i]), key=lambda i: abs(a[i][i]), default=None)
         if piv is None:
-            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+            # the remaining diagonal is all zero, so an entry found has i != j
+            off = next(((i, j) for i in rest for j in rest if a[i][j]), None)
             if off is None:
-                return d + [0], rows
+                return d + [0], rows, order
             i, j = off
             a[i] = [x + y for x, y in zip(a[i], a[j])]
             for row in a:
                 row[i] += row[j]
+            order = None
             continue
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for row in a:
-                row[k], row[piv] = row[piv], row[k]
-        p, prev = a[k][k], d[-1]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (p * a[i][j] - a[i][k] * a[k][j]) // prev
-        rows.append([0] * k + a[k][k:])
+        ap, prev = a[piv], d[-1]
+        p = ap[piv]
+        r = [0] * n
+        for j in rest:
+            r[j] = ap[j]
+        rest.remove(piv)
+        for i in rest:
+            ai = a[i]
+            f = ai[piv]
+            for j in rest:
+                ai[j] = (p * ai[j] - f * ap[j]) // prev
+        rows.append(r)
         d.append(p)
-        k += 1
-    return d, rows
+        if order is not None:
+            order.append(piv)
+    return d, rows, order
 
 
 def signature(L: IntegralLattice) -> tuple[int, int]:
     """Sylvester signature (plus, minus) from the lattice's one cached _ldl:
-    one sign per pivot d[k+1] / d[k], as the swaps and hyperbolic steps of
-    _ldl are unimodular congruences."""
-    d, _ = L._elim
+    one sign per pivot d[k+1] / d[k], as the pivot order and hyperbolic
+    steps of _ldl are unimodular congruences."""
+    d = L._elim[0]
     if d[-1] == 0:
         raise ValueError("degenerate form has no signature")
     plus = sum(p * q > 0 for p, q in zip(d, d[1:]))
@@ -188,8 +201,11 @@ def _divisors(L: IntegralLattice) -> list[int]:
     """The divisors of L*/L, ascending: the SNF diagonal entries > 1.
 
     The zeros of a degenerate form are dropped as well, so callers test
-    nondegeneracy first (discriminant_group raises instead).
+    nondegeneracy first (discriminant_group raises instead).  A unimodular
+    form needs no SNF: its invariant factors multiply to |det| = 1.
     """
+    if abs(discriminant(L)) == 1:
+        return []
     return [x for x in _snf_diagonal(L.gram) if x > 1]
 
 

@@ -7,7 +7,9 @@ vectors by exhaustive box enumeration, inverses by Gauss-Jordan in
 Fractions, glue groups by closure in Fractions mod 1, and primality and
 factorization by trial division.  There are two exceptions.
 full_ball_short_vectors keeps the whole-ball search that short_vectors ran
-before it searched half the ball, so that whole reports can be compared.
+before it searched half the ball, so that whole reports can be compared,
+over its own frozen copy of the elimination as it was before smallest-pivot
+ordering (unpivoted_ldl), so that it does not share the library's pivot rule.
 saturation is the double integer kernel of the library's kernel_basis, the
 construction the package used to export as embeddings.saturate.
 """
@@ -20,7 +22,6 @@ import numpy as np
 
 from k3enriques.enumeration import ShortVectorReport
 from k3enriques.intmat import kernel_basis
-from k3enriques.lattice import _ldl
 
 
 def trial_is_prime(n):
@@ -254,6 +255,42 @@ def box_short_vectors(gram, bound):
     return out
 
 
+def unpivoted_ldl(gram):
+    """Symmetric fraction-free (Bareiss) elimination in the basis order as
+    given: leading minors d, d[0] = 1, and rows r with
+    x^T G x = sum_k (r[k] . x)^2 / (d[k] d[k+1]) while every d is positive.
+    A zero pivot is replaced by a symmetric swap or, when the remaining
+    diagonal is all zero, by adding one basis vector to another; either step
+    changes coordinates.  A degenerate form ends d with 0."""
+    a = [list(row) for row in gram]
+    n = len(a)
+    d, rows = [1], []
+    k = 0
+    while k < n:
+        piv = next((i for i in range(k, n) if a[i][i]), None)
+        if piv is None:
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+            if off is None:
+                return d + [0], rows
+            i, j = off
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+            continue
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for row in a:
+                row[k], row[piv] = row[piv], row[k]
+        p, prev = a[k][k], d[-1]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (p * a[i][j] - a[i][k] * a[k][j]) // prev
+        rows.append([0] * k + a[k][k:])
+        d.append(p)
+        k += 1
+    return d, rows
+
+
 def full_ball_short_vectors(L, bound):
     """short_vectors as it was before the half-ball search: Fincke-Pohst over
     the whole ball, which finds v and -v separately and keeps one of each."""
@@ -264,8 +301,8 @@ def full_ball_short_vectors(L, bound):
         return ShortVectorReport(bound, (), None, {})
     # a definite form has the sign of its diagonal
     sign = 1 if L.gram[0, 0] > 0 else -1
-    d, r = _ldl([[sign * x for x in row] for row in L.gram])
-    # all leading minors positive: definite, and _ldl kept the caller's basis
+    d, r = unpivoted_ldl([[sign * x for x in row] for row in L.gram])
+    # all leading minors positive: definite, and no swap changed the basis
     if min(d) <= 0:
         raise ValueError("short-vector enumeration requires a definite lattice")
     found = []

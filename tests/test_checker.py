@@ -405,6 +405,15 @@ def _detached_e8(rows):
     return lambda: ambient
 
 
+def _rooted_e8(rows):
+    # the ambient with its last E8(2) vector of norm -2 and its edges kept:
+    # that makes N indefinite, so a sample's count_norm stops the family
+    rows = [list(r) for r in rows]
+    rows[9][9] = -2
+    ambient = IntegralLattice(rows)
+    return lambda: ambient
+
+
 @pytest.mark.parametrize(
     "sigma, patch, claim",
     [
@@ -427,8 +436,18 @@ def _detached_e8(rows):
             lambda: setattr(checker, "_gamma2", _detached_e8(checker._gamma2().gram.rows)),
             "N's norms lie in 4Z, so N has no root",
         ),
+        (
+            2,
+            lambda: setattr(checker, "_gamma2", _rooted_e8(checker._gamma2().gram.rows)),
+            "short-vector enumeration requires a definite lattice",
+        ),
     ],
-    ids=["n_divisors-off-by-one", "e_columns-not-orthogonal", "ambient-with-a-root"],
+    ids=[
+        "n_divisors-off-by-one",
+        "e_columns-not-orthogonal",
+        "ambient-with-a-root",
+        "ambient-with-an-attached-root",
+    ],
 )
 def test_family_proof_can_fail(monkeypatch, sigma, patch, claim):
     # every vector of U(2) + E8(2) has norm in 4Z, so no _CASES entry gives N

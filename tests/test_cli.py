@@ -1,11 +1,21 @@
 import argparse
 import hashlib
 import json
+import random
 
 import pytest
 
 from k3enriques.cli import _build_parser, main
-from k3enriques.lattice import builtin, fixture_path, save_lattice
+from k3enriques.lattice import (
+    IntegralLattice,
+    builtin,
+    diag_lattice,
+    direct_sum,
+    fixture_path,
+    save_lattice,
+)
+
+from oracles import arr, full_ball_short_vectors, random_unimodular
 
 
 def test_lattice_info(capsys):
@@ -59,14 +69,37 @@ def test_lattice_roots(capsys):
     assert out.startswith("count: 240")
 
 
-def test_lattice_roots_output_pinned(capsys):
-    # the count line and the 240 roots, as one print per line wrote them
+def test_lattice_roots_output_pinned(tmp_path, capsys):
+    # the count line and the 240 roots, as one print per line wrote them;
+    # no roots, and the roots of a rank-1 lattice
     assert main(["lattice", "roots", str(fixture_path("E8")), "--norm", "-2"]) == 0
     out = capsys.readouterr().out
     digest = "d369a274e64c89c0197569cd74eb635454ef8d9e46a9dc6dcb8b574b4658bbc1"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert main(["lattice", "roots", str(fixture_path("E8_2")), "--norm", "-2"]) == 0
     assert capsys.readouterr() == ("count: 0\n", "")
+    path = tmp_path / "rank1.json"
+    save_lattice(diag_lattice([-2]), path)
+    assert main(["lattice", "roots", str(path), "--norm", "-2"]) == 0
+    assert capsys.readouterr() == ("count: 2\n1\n-1\n", "")
+
+
+def test_lattice_roots_of_skewed_blocks_match_oracle(tmp_path, capsys):
+    # E8, A3 and <-2>, each under its own change of basis: the listing equals
+    # the one the unpivoted whole-ball oracle gives, line for line
+    rng = random.Random(5)
+    a3 = [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
+    blocks = []
+    for block, steps in ((builtin("E8"), 20), (IntegralLattice(a3), 6), (diag_lattice([-2]), 0)):
+        u = random_unimodular(rng, block.rank, steps)
+        blocks.append(IntegralLattice(u @ arr(block.gram) @ u.T))
+    L = direct_sum(*blocks)
+    path = tmp_path / "skewed.json"
+    save_lattice(L, path)
+    assert main(["lattice", "roots", str(path), "--norm", "-2"]) == 0
+    want = [" ".join(map(str, v)) for v, nm in full_ball_short_vectors(L, 2).vectors if nm == -2]
+    assert len(want) == 240 + 12 + 2
+    assert capsys.readouterr() == ("\n".join([f"count: {len(want)}", *want]) + "\n", "")
 
 
 def test_lattice_roots_indefinite_is_usage_error(capsys):

@@ -172,9 +172,9 @@ def test_half_ball_matches_full_ball(seed, n, positive, steps, bound):
     assert signature(L) == ((n, 0) if positive else (0, n))
 
 
-def test_half_ball_node_count(monkeypatch):
-    # one isqrt per search node; the full ball visits 250,798 = 2 * 125,403 - 8
-    # nodes here, as it mirrors every node but the 8 on the all-zero top path
+def _skewed_e8_nodes(monkeypatch, steps):
+    # one isqrt per search node, counting the roots of E8 under `steps`
+    # elementary row operations
     nodes = [0]
 
     def counting_isqrt(v):
@@ -182,6 +182,19 @@ def test_half_ball_node_count(monkeypatch):
         return isqrt(v)
 
     monkeypatch.setattr(enumeration, "isqrt", counting_isqrt)
-    L = _skewed(builtin("E8"), random_unimodular(random.Random(1), 8, 30))
+    L = _skewed(builtin("E8"), random_unimodular(random.Random(1), 8, steps))
     assert count_norm(L, -2) == 240
-    assert nodes[0] == 125_403
+    return nodes[0]
+
+
+def test_half_ball_node_count(monkeypatch):
+    # searching in the basis order as given took 125,403 nodes here
+    assert _skewed_e8_nodes(monkeypatch, 30) == 3_917
+
+
+@pytest.mark.parametrize("steps, nodes", [(5, 295), (20, 4_053), (40, 45_027)])
+def test_skewed_e8_node_ladder(monkeypatch, steps, nodes):
+    # with 30 steps above: the smallest-pivot-first search order keeps the
+    # count from growing with the skew as the basis order did (15,070 nodes
+    # at 20 steps, 1,696,837 at 40)
+    assert _skewed_e8_nodes(monkeypatch, steps) == nodes

@@ -169,22 +169,34 @@ def _forms_with_hyperbolic_blocks(draw):
 def test_ldl_last_minor_is_det(a):
     # the swaps and hyperbolic steps of _ldl are unimodular congruences
     L = IntegralLattice(a)
-    d, _ = _ldl(L.gram)
+    d = _ldl(L.gram)[0]
     assert d[-1] == det(a)
     assert discriminant(L) == det(a)  # degenerate forms too
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32), st.integers(1, 7), st.booleans())
-def test_ldl_rows_sum_the_form_in_squares(seed, n, positive):
-    # the documented identity x^T G x = sum_k (r[k] . x)^2 / (d[k] d[k+1])
-    # on a definite form, where no swap or hyperbolic step runs
+@given(st.integers(0, 2**32), st.integers(1, 7), st.sampled_from([1, -1, 0]))
+def test_ldl_rows_sum_the_form_in_squares(seed, n, kind):
+    # the documented identity x^T G x = sum_k (r[k] . x)^2 / (d[k] d[k+1]) in
+    # the caller's coordinates, on definite forms (kind +-1) and on random
+    # symmetric ones (kind 0) whose elimination takes no hyperbolic step;
+    # r[k] is 0 at order[:k] and d[k+1] at order[k]
     rng = random.Random(seed)
-    b = [[0]]
-    while det(b) == 0:
-        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-    g = [[(1 if positive else -1) * sum(map(mul, u, v)) for v in b] for u in b]
-    d, rows = _ldl(g)
+    if kind:
+        b = [[0]]
+        while det(b) == 0:
+            b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        g = [[kind * sum(map(mul, u, v)) for v in b] for u in b]
+    else:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-4, 4)
+    d, rows, order = _ldl(g)
+    assume(order is not None)
+    assert len(order) == len(rows) and len(set(order)) == len(order)
+    for k, r in enumerate(rows):
+        assert [r[i] for i in order[: k + 1]] == [0] * k + [d[k + 1]]
     for _ in range(5):
         x = [rng.randint(-9, 9) for _ in range(n)]
         form = sum(xi * gij * xj for xi, row in zip(x, g) for gij, xj in zip(row, x))
@@ -192,6 +204,14 @@ def test_ldl_rows_sum_the_form_in_squares(seed, n, positive):
             Fraction(sum(map(mul, r, x)) ** 2, d[k] * d[k + 1]) for k, r in enumerate(rows)
         )
         assert form == squares
+
+
+def test_ldl_pivots_smallest_first():
+    # on a diagonal form the remaining diagonal never changes: order sorts it
+    # by absolute value, ties by coordinate; a hyperbolic step leaves no order
+    assert _ldl([[5, 0, 0, 0], [0, -3, 0, 0], [0, 0, 7, 0], [0, 0, 0, 1]])[2] == [3, 1, 0, 2]
+    assert _ldl([[2, 0, 0], [0, -2, 0], [0, 0, 2]])[2] == [0, 1, 2]
+    assert _ldl([[0, 1], [1, 0]])[2] is None
 
 
 def test_is_even():
