@@ -167,7 +167,7 @@ def _forms_with_hyperbolic_blocks(draw):
 @settings(max_examples=300, deadline=None)
 @given(_forms_with_hyperbolic_blocks())
 def test_ldl_last_minor_is_det(a):
-    # the swaps and hyperbolic steps of _ldl are unimodular congruences
+    # the pivot order and hyperbolic steps of _ldl are unimodular congruences
     L = IntegralLattice(a)
     d = _ldl(L.gram)[0]
     assert d[-1] == det(a)
@@ -207,8 +207,9 @@ def test_ldl_rows_sum_the_form_in_squares(seed, n, kind):
 
 
 def test_ldl_pivots_smallest_first():
-    # on a diagonal form the remaining diagonal never changes: order sorts it
-    # by absolute value, ties by coordinate; a hyperbolic step leaves no order
+    # on a diagonal form each step only rescales the remaining diagonal, so
+    # order sorts it by absolute value, ties by coordinate; a hyperbolic step
+    # leaves no order
     assert _ldl([[5, 0, 0, 0], [0, -3, 0, 0], [0, 0, 7, 0], [0, 0, 0, 1]])[2] == [3, 1, 0, 2]
     assert _ldl([[2, 0, 0], [0, -2, 0], [0, 0, 2]])[2] == [0, 1, 2]
     assert _ldl([[0, 1], [1, 0]])[2] is None
