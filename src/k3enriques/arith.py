@@ -3,10 +3,25 @@
 The residue side drives the existence criterion: the obstruction condition
 asks a twisted discriminant to be a non-square mod p, and the d-search looks
 for the smallest twist parameter below p/8 with the prescribed residue class.
-Primality is decided by Miller-Rabin (plus a strong Lucas test past its exact
-range).  Integers are split into prime powers by trial division by the primes
-below 1000, then Pollard-Brent on the cofactor, so no step divides by every
-number up to a square root.
+Every Legendre symbol is the Jacobi symbol, computed by quadratic
+reciprocity (Cohen, Alg. 1.4.10), not by Euler's criterion.
+
+Primality: after trial division by the primes up to 41, an odd p is tested
+by Miller-Rabin to the bases of the first row of _MR_TABLE with p < bound.
+Each bound is the least odd composite that passes its row's bases:
+
+    bound                        bases                    source
+    2047 .. 25326001 (psi_1..3)  the first 1..3 primes    Sorenson-Webster 2015
+    4759123141                   2, 7, 61                 Jaeschke 1993
+    1122004669633                2, 13, 23, 1662803       Jaeschke 1993
+    psi_5, 6, 7, 9, 12, 13       the first 5..13 primes   Sorenson-Webster 2015
+
+So the answer is exact below psi_13 = 3317044064679887385961981.  From there
+on, the bases 2..41 and a strong Lucas test make a Baillie-PSW test.
+Integers are split into prime powers by one gcd with the product of the
+primes below 1000, which names the small primes, then Pollard-Brent on the
+cofactor, which refuses any n that is not an odd composite.  No step divides
+by every number up to a square root.
 The polygon side records the Newton/Hodge slope constraints for the second
 cohomology of a K3 surface (rank 22, slopes symmetric about 1).
 """
@@ -24,42 +39,42 @@ _MAX_ARTIN = 5  # the largest Artin invariant of a K3 surface covering an Enriqu
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# _PSI[t - 1] = psi_t, the least odd composite passing Miller-Rabin to the
-# first t prime bases (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2015)
-_PSI = (
-    2047,
-    1373653,
-    25326001,
-    3215031751,
-    2152302898747,
-    3474749660383,
-    341550071728321,
-    341550071728321,
-    3825123056546413051,
-    3825123056546413051,
-    3825123056546413051,
-    318665857834031151167461,
-    3317044064679887385961981,
+# (bound, bases), the table of the module docstring: no odd composite below
+# bound is a strong probable prime to every base, and bound is one.  psi_t is
+# the least that passes the first t prime bases (OEIS A014233); psi_4 is left
+# out, as Jaeschke's {2, 7, 61} covers it, and so are psi_8 = psi_7 and
+# psi_10 = psi_11 = psi_9, whose rows would serve no n.
+_MR_TABLE = (
+    (2047, _MR_BASES[:1]),  # psi_1
+    (1373653, _MR_BASES[:2]),  # psi_2
+    (25326001, _MR_BASES[:3]),  # psi_3
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
+    (2152302898747, _MR_BASES[:5]),  # psi_5
+    (3474749660383, _MR_BASES[:6]),  # psi_6
+    (341550071728321, _MR_BASES[:7]),  # psi_7
+    (3825123056546413051, _MR_BASES[:9]),  # psi_9
+    (318665857834031151167461, _MR_BASES[:12]),  # psi_12
+    (3317044064679887385961981, _MR_BASES),  # psi_13
 )
 
 
 def is_odd_prime(p: int) -> bool:
     """Whether p is an odd prime.
 
-    Deterministic Miller-Rabin to the prime bases 2..41, which no odd
-    composite below psi_13 = 3317044064679887385961981 passes (Sorenson and
-    Webster 2015), so the answer is exact for p < psi_13; below psi_t only
-    the first t bases are needed.  From psi_13 on, a strong Lucas test is
-    added, which makes the whole a Baillie-PSW test: no composite is known to
-    pass it, but none is proven not to.
+    Deterministic Miller-Rabin to the bases of the first row of _MR_TABLE
+    with p < bound, so the answer is exact for p < psi_13 and a 10-digit p
+    costs three or four bases.  From psi_13 on, the bases 2..41 and a strong
+    Lucas test make a Baillie-PSW test: no composite is known to pass it, but
+    none is proven not to.
     """
     if p < 3 or p % 2 == 0:
         return False
     for b in _MR_BASES:
         if p % b == 0:
             return p == b
-    t = next((t for t, psi in enumerate(_PSI, 1) if p < psi), len(_PSI))
-    return _miller_rabin(p, _MR_BASES[:t]) and (p < _PSI[-1] or _strong_lucas(p))
+    bound, bases = next((row for row in _MR_TABLE if p < row[0]), _MR_TABLE[-1])
+    return _miller_rabin(p, bases) and (p < bound or _strong_lucas(p))
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -82,7 +97,11 @@ def _miller_rabin(n: int, bases) -> bool:
 
 
 def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd positive n."""
+    """Jacobi symbol (a/n) for odd positive n, by quadratic reciprocity.
+
+    For a prime n it is the Legendre symbol, which is how every Legendre
+    symbol here is computed.
+    """
     a %= n
     sign = 1
     while a:
@@ -138,8 +157,11 @@ def _pollard_brent(n: int) -> int:
     """A proper factor of the odd composite n, by Brent's variant of Pollard rho.
 
     The walk x -> x^2 + c starts at 2 with c = 1, 2, ... in turn, so the
-    factor returned is the same on every run.
+    factor returned is the same on every run.  Any n that is not an odd
+    composite, on which the walk would never end, raises ValueError.
     """
+    if n % 2 == 0 or n < 9 or is_odd_prime(n):
+        raise ValueError(f"{n} is not an odd composite")
     m = 128
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
@@ -167,35 +189,39 @@ def _pollard_brent(n: int) -> int:
 
 _TRIAL_LIMIT = 1000
 
-# the primes below _TRIAL_LIMIT, by the sieve of Eratosthenes
+# the primes below _TRIAL_LIMIT, by the sieve of Eratosthenes, and their product
 _SMALL_PRIMES = sorted(
     set(range(2, _TRIAL_LIMIT)).difference(
         *(range(p * p, _TRIAL_LIMIT, p) for p in range(2, math.isqrt(_TRIAL_LIMIT) + 1))
     )
 )
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def _prime_powers(n: int) -> list[int]:
-    """Prime-power factorization of n as a list [p^e, ...], p ascending.
+    """Prime-power factorization of n >= 1 as a list [p^e, ...], p ascending.
 
-    Trial division by the primes below 1000, then Pollard-Brent on the
-    cofactor, each piece of which is tested by is_odd_prime.
+    One gcd with the product of the primes below 1000 names the small primes
+    of n, then Pollard-Brent splits the cofactor, each piece of which is
+    tested by is_odd_prime.
     """
     out = []
+    g = math.gcd(n, _SMALL_PRODUCT)
     for p in _SMALL_PRIMES:
-        if p * p > n:
+        if g == 1:
             break
-        if n % p == 0:
+        if g % p == 0:
+            g //= p
             q = 1
             while n % p == 0:
                 q *= p
                 n //= p
             out.append(q)
-    if 1 < n < _TRIAL_LIMIT**2:  # no factor below sqrt(n): prime
-        out.append(n)
-    elif n > 1:
+    if n >= _TRIAL_LIMIT**2:
         primes = sorted(_prime_factors(n))
         out += [p ** primes.count(p) for p in sorted(set(primes))]
+    elif n != 1:  # no prime factor below 1000: prime
+        out.append(n)
     return out
 
 
@@ -208,16 +234,10 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) via Euler's criterion; p an odd prime."""
+    """Legendre symbol (a/p), by quadratic reciprocity; p an odd prime."""
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    return _legendre(a, p)
-
-
-def _legendre(a: int, p: int) -> int:
-    """legendre for a p already known to be an odd prime."""
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    return _jacobi(a, p)
 
 
 def arth(p: int, sigma: int, d: int) -> bool:
@@ -233,7 +253,7 @@ def arth(p: int, sigma: int, d: int) -> bool:
 
 def _arth(p: int, sigma: int, d: int) -> bool:
     """arth for arguments already checked, p an odd prime."""
-    return _legendre((-1) ** (sigma + 1) * d, p) == -1
+    return _jacobi((-1) ** (sigma + 1) * d, p) == -1
 
 
 def find_d(p: int, sigma: int) -> int | None:
@@ -254,7 +274,7 @@ def _find_d(p: int, sigma: int) -> int | None:
     want = _minus_d_class(sigma)  # d < p / 8, so p never divides d
     d = 1
     while 8 * d < p:
-        if _legendre(-d, p) == want:
+        if _jacobi(-d, p) == want:
             return d
         d += 1
     return None

@@ -28,7 +28,7 @@ from .arith import (
     K3_RANK,
     _arth,
     _find_d,
-    _legendre,
+    _jacobi,
     _minus_d_class,
     _prime_powers,
     is_odd_prime,
@@ -706,7 +706,7 @@ def decide_enriques(p: int, sigma: int) -> Verdict:
             },
         )
     crosscheck = {
-        "parity_rule": _legendre(-d, p) == _minus_d_class(sigma),
+        "parity_rule": _jacobi(-d, p) == _minus_d_class(sigma),
         # the rank-(22 - 2 sigma) discriminant is -4^a d, and 4^a is a square mod p
         "arth_rule": _arth(p, sigma, -d),
     }

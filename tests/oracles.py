@@ -36,6 +36,20 @@ def trial_is_prime(n):
     return True
 
 
+def proth_is_prime(n):
+    """Primality of a Proth number n = r * 2^k + 1 (r odd, r < 2^k), by Proth's theorem.
+
+    n is prime iff a^((n - 1)/2) = -1 mod n for some a, which every quadratic
+    non-residue a gives when n is prime; an a with a^((n - 1)/2) other than
+    +-1 mod n proves n composite by Euler's criterion.
+    """
+    for a in range(2, n):
+        x = pow(a, (n - 1) // 2, n)
+        if x != 1:
+            return x == n - 1
+    return False
+
+
 def trial_prime_powers(n):
     """Prime-power factorization [p^e, ...] of n > 0, p ascending, by trial division."""
     out = []

@@ -1,7 +1,10 @@
 import math
 import random
+import signal
 import time
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +15,11 @@ from k3enriques.arith import (
     HODGE_SLOPES,
     NewtonPolygon,
     _MR_BASES,
-    _PSI,
+    _MR_TABLE,
     _heights,
     _jacobi,
     _miller_rabin,
+    _pollard_brent,
     _prime_powers,
     _strong_lucas,
     arth,
@@ -29,12 +33,59 @@ from k3enriques.arith import (
 )
 from k3enriques.checker import build_case, decide_enriques
 
-from oracles import trial_is_prime, trial_prime_powers
+from oracles import proth_is_prime, trial_is_prime, trial_prime_powers
 
-ODD_PRIMES_200 = [p for p in range(3, 201) if is_odd_prime(p)]
+ODD_PRIMES_200 = [p for p in range(3, 201) if trial_is_prime(p)]
 
 PSI12 = 318665857834031151167461
 PSI13 = 3317044064679887385961981
+
+
+@contextmanager
+def _within(seconds):
+    # a call that does not end fails here, well before the conftest watchdog
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_is_odd_prime_exhaustive_small():
+    # the first test, so that a loop in Miller-Rabin (on n = 1, say) fails here
+    with _within(5):
+        found = [n for n in range(-10, 20000) if is_odd_prime(n)]
+    assert found == [n for n in range(3, 20000, 2) if trial_is_prime(n)]
+
+
+def test_jacobi_is_the_product_of_legendre_symbols():
+    # (a/n) over the prime factors q of n with multiplicity, each by Euler's
+    # criterion: 0 exactly when gcd(a, n) > 1.  Before the Lucas step needs
+    # it, so that a loop in _jacobi fails here
+    with _within(10):
+        for n in range(1, 300, 2):
+            qs, m = [], n
+            for q in range(3, n + 1, 2):
+                while m % q == 0:
+                    qs.append(q)
+                    m //= q
+            for a in range(-n, 2 * n):
+                assert _jacobi(a, n) == math.prod((pow(a, (q - 1) // 2, q) + 1) % q - 1 for q in qs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=2**64), st.integers(min_value=-(2**80), max_value=2**80))
+def test_jacobi_is_eulers_criterion(n, a):
+    # for a prime p, (a/p) by reciprocity is a^((p - 1)/2) mod p, read as -1, 0, 1
+    for p in (next(q for q in count(n | 1, 2) if is_odd_prime(q)), 2**127 - 1):
+        for x in (a, -a, a * p, -p, 0, p - 1, a % p - p):
+            r = pow(x, (p - 1) // 2, p)
+            assert _jacobi(x, p) == (-1 if r == p - 1 else r), (x, p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -47,12 +98,6 @@ def test_is_odd_prime_matches_trial_division(n):
 @given(st.integers(min_value=1, max_value=10**12 - 1))
 def test_is_odd_prime_matches_trial_division_large(n):
     assert is_odd_prime(n) == (n % 2 == 1 and trial_is_prime(n))
-
-
-def test_is_odd_prime_exhaustive_small():
-    assert [n for n in range(-10, 20000) if is_odd_prime(n)] == [
-        n for n in range(3, 20000, 2) if trial_is_prime(n)
-    ]
 
 
 @pytest.mark.parametrize(
@@ -70,13 +115,65 @@ def test_is_odd_prime_rejects_strong_pseudoprimes(n):
 
 
 def test_psi_table():
-    # psi_t passes the first t bases, so is_odd_prime must use more bases for
-    # it; base t + 1 refuses it exactly where psi_t < psi_{t+1}
-    for t, psi in enumerate(_PSI, 1):
-        assert _miller_rabin(psi, _MR_BASES[:t]), t
-        if t < len(_PSI):
-            assert _miller_rabin(psi, _MR_BASES[: t + 1]) == (psi == _PSI[t]), t
-        assert not is_odd_prime(psi), t
+    # each row's bound is a strong pseudoprime to the row's bases, which
+    # is_odd_prime must refuse on a later row (or by the Lucas step past the
+    # last); the rows serve increasing ranges, and every base is below the
+    # least n its row serves (43 is the least that trial division to 41
+    # leaves), so no base is 0 mod n
+    least = 43
+    for bound, bases in _MR_TABLE:
+        assert _miller_rabin(bound, bases), bound
+        assert not is_odd_prime(bound), bound
+        assert max(bases) < least < bound
+        least = bound
+    assert [b for b, _ in _MR_TABLE][3:5] == [4759123141, 1122004669633]
+    assert least == PSI13
+
+
+# the n that each row of _MR_TABLE serves, then the range of the Lucas step
+ROWS = [(43, _MR_TABLE[0][0])] + [
+    (lo, hi) for (lo, _), (hi, _) in zip(_MR_TABLE, _MR_TABLE[1:])
+] + [(PSI13, 2**128)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_odd_prime_in_each_row(data):
+    # trial division settles every n below 2^41; above that, n is drawn as a
+    # Proth number r * 2^k + 1 (r odd, r < 2^k), which Proth's theorem settles
+    lo, hi = data.draw(st.sampled_from(ROWS))
+    if hi <= 2**41:
+        n = data.draw(st.integers(lo, hi - 1))
+        assert is_odd_prime(n) == (n % 2 == 1 and trial_is_prime(n))
+    else:
+        k = (hi.bit_length() + 1) // 2
+        r = 2 * data.draw(st.integers((((lo - 2) >> k) + 1) // 2, (((hi - 2) >> k) - 1) // 2)) + 1
+        n = (r << k) + 1
+        assert lo <= n < hi and r < 2**k
+        assert is_odd_prime(n) == proth_is_prime(n)
+
+
+def test_is_odd_prime_takes_its_rows_bases(monkeypatch):
+    # the least and the greatest prime of each row's range are tested on that
+    # row's bases alone, and past psi_13 on the bases 2..41 and the Lucas step
+    ends = [
+        (next(filter(is_odd_prime, count(lo))), next(filter(is_odd_prime, count(hi - 1, -1))))
+        for lo, hi in ROWS[:-1]
+    ] + [(next(filter(is_odd_prime, count(PSI13))),) * 2]
+    calls = []
+    mr, lucas = arith._miller_rabin, arith._strong_lucas
+    monkeypatch.setattr(arith, "_miller_rabin", lambda n, bases: calls.append(bases) or mr(n, bases))
+    monkeypatch.setattr(arith, "_strong_lucas", lambda n: calls.append("lucas") or lucas(n))
+    for ps, want in zip(ends, [[b] for _, b in _MR_TABLE] + [[_MR_BASES, "lucas"]]):
+        for p in ps:
+            calls.clear()
+            assert is_odd_prime(p)
+            assert calls == want, p
+
+
+@pytest.mark.parametrize("n", [b + e for b, _ in _MR_TABLE for e in (-2, 2)])
+def test_is_odd_prime_beside_each_bound(n):
+    assert is_odd_prime(n) == trial_is_prime(n)
 
 
 @pytest.mark.parametrize("e", [61, 89, 127])
@@ -106,17 +203,18 @@ def test_strong_lucas_stops_on_a_factor_of_n(monkeypatch):
     assert not _strong_lucas((2**61 - 1) ** 2)
 
 
-def test_jacobi_is_the_product_of_legendre_symbols():
-    # (a/n) over the prime factors q of n with multiplicity, each by Euler's
-    # criterion: 0 exactly when gcd(a, n) > 1
-    for n in range(1, 300, 2):
-        qs, m = [], n
-        for q in range(3, n + 1, 2):
-            while m % q == 0:
-                qs.append(q)
-                m //= q
-        for a in range(-n, 2 * n):
-            assert _jacobi(a, n) == math.prod((pow(a, (q - 1) // 2, q) + 1) % q - 1 for q in qs)
+# before the tests of _prime_powers, so that a walk that does not end fails here
+@pytest.mark.parametrize("n", [-9, 0, 1, 2, 3, 4, 7, 10**21, 2**61 - 1])
+def test_pollard_brent_refuses_what_is_not_an_odd_composite(n):
+    with _within(2), pytest.raises(ValueError, match="not an odd composite"):
+        _pollard_brent(n)
+
+
+@pytest.mark.parametrize("n", [9, 15, 25, 1009**2, 999983 * 1000003, PSI12])
+def test_pollard_brent_splits_odd_composites(n):
+    with _within(2):
+        f = _pollard_brent(n)
+    assert 1 < f < n and n % f == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,6 +233,16 @@ def test_prime_powers_large_factors():
     assert _prime_powers(PSI12) == [399165290221, 798330580441]
     assert _prime_powers(3825123056546413051) == [149491, 747451, 34233211]
     assert _prime_powers(2**89 - 1) == [2**89 - 1]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1009, 999983, 1000003, 997 * 1009, 1009**2, 2 * 3 * 997 * 1009, 999983 * 1000003, 10**4296],
+)
+def test_prime_powers_beside_the_prime_shortcut(n):
+    # a cofactor free of the primes below 1000 is taken as prime below 10^6
+    # and split by Pollard-Brent from 10^6 on
+    assert _prime_powers(n) == trial_prime_powers(n)
 
 
 def test_prime_powers_trial_division_first():
