@@ -147,7 +147,8 @@ def test_is_odd_prime_in_each_row(data):
         assert is_odd_prime(n) == (n % 2 == 1 and trial_is_prime(n))
     else:
         k = (hi.bit_length() + 1) // 2
-        r = 2 * data.draw(st.integers((((lo - 2) >> k) + 1) // 2, (((hi - 2) >> k) - 1) // 2)) + 1
+        r_min, r_max = ((lo - 2) >> k) + 1, (hi - 2) >> k  # lo <= r * 2^k + 1 < hi
+        r = 2 * data.draw(st.integers(r_min // 2, (r_max - 1) // 2)) + 1
         n = (r << k) + 1
         assert lo <= n < hi and r < 2**k
         assert is_odd_prime(n) == proth_is_prime(n)
