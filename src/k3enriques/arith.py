@@ -202,21 +202,26 @@ def _prime_powers(n: int) -> list[int]:
     """Prime-power factorization of n >= 1 as a list [p^e, ...], p ascending.
 
     One gcd with the product of the primes below 1000 names the small primes
-    of n, then Pollard-Brent splits the cofactor, each piece of which is
-    tested by is_odd_prime.
+    of n: they are split off g in turn until p * p > g, when what is left of
+    g is 1 or one prime.  Then Pollard-Brent splits the cofactor, each piece
+    of which is tested by is_odd_prime.
     """
-    out = []
+    out, small = [], []
     g = math.gcd(n, _SMALL_PRODUCT)
     for p in _SMALL_PRIMES:
-        if g == 1:
+        if p * p > g:
             break
         if g % p == 0:
             g //= p
-            q = 1
-            while n % p == 0:
-                q *= p
-                n //= p
-            out.append(q)
+            small.append(p)
+    if g != 1:
+        small.append(g)
+    for p in small:
+        q = 1
+        while n % p == 0:
+            q *= p
+            n //= p
+        out.append(q)
     if n >= _TRIAL_LIMIT**2:
         primes = sorted(_prime_factors(n))
         out += [p ** primes.count(p) for p in sorted(set(primes))]

@@ -7,7 +7,7 @@ all checked exactly and recorded with their witness data.  Each sigma's
 cases are proven once for every d: the certificate of (sigma, d) is affine
 in d, so it is fitted from two computed cases and its claims are proven as
 polynomial identities of degree <= 2 in d.  A certificate re-verifies by
-comparison with that template at its own sigma and d.  The verdict
+comparison of its bytes with that template's at its own sigma and d.  The verdict
 for (p, sigma) combines the residue search for d, the p > 8d norm bound,
 and the case certificate.
 """
@@ -468,16 +468,55 @@ def _disproved(sigma: int, template) -> list[str]:
 _SAMPLES = (1, 2, 3, 4, 5)
 
 
+_MARKER = 2**64  # above every int of a d = 2 document; _marked's markers follow it
+
+
+def _marked(x2, x3, moving: list):
+    """The document x2 (at d = 2) with each moving leaf replaced by a marker
+    of its own, _MARKER + 1, _MARKER + 2, ... in document order.  The moving
+    leaves are the ints that differ in x3 (at d = 3), each a + b d, and the
+    lists named in _PRIME_POWER_KEYS; moving gets (a, b), or None for such
+    a list, for each in turn."""
+    if type(x2) is dict:
+        return {
+            k: _mark(None, moving) if k in _PRIME_POWER_KEYS else _marked(v, x3[k], moving)
+            for k, v in x2.items()
+        }
+    if type(x2) is list:
+        return [_marked(u, v, moving) for u, v in zip(x2, x3)]
+    if type(x2) is int and x2 != x3:
+        b = x3 - x2
+        return _mark((x2 - 2 * b, b), moving)
+    return x2
+
+
+def _mark(leaf, moving: list) -> int:
+    moving.append(leaf)
+    return _MARKER + len(moving)
+
+
 class _Family:
     """The cases of one sigma for every d >= 1, from _compute_case at each d
     of _SAMPLES: the computed case at d = 1, and for d >= 2 the certificate
     template fitted at d = 2 and 3.  Parts that do not depend on d are
-    shared.  _family proves it before any use."""
+    shared.  Next to the template it keeps the same fit as bytes: the
+    marshal format 2 encoding of the d = 2 document cut at its moving leaves
+    into fixed chunks.  _family proves both before any use."""
 
     def __init__(self, sigma: int):
         self.samples = {d: _compute_case(sigma, d) for d in _SAMPLES}
         self.cert = _fit(self.samples[2], self.samples[3])  # cert(d, pp)
         self.base = tuple(q for x in _CASES[sigma].n_divisors for q in _prime_powers(x))
+        self.first = marshal.dumps(self.samples[1].to_doc(), 2)  # served at d = 1
+        self.moving = []
+        rest = marshal.dumps(
+            _marked(self.samples[2].to_doc(), self.samples[3].to_doc(), self.moving), 2
+        )
+        self.chunks = []  # a marker not found in turn leaves a view that _family refuses
+        for k in range(1, len(self.moving) + 1):
+            chunk, _, rest = rest.partition(marshal.dumps(_MARKER + k, 2))
+            self.chunks.append(chunk)
+        self.chunks.append(rest)
 
     def prime_powers(self, d: int) -> tuple:
         """The sorted prime powers of N's divisors: the base's and 4d's."""
@@ -486,6 +525,22 @@ class _Family:
     def case(self, d: int) -> CaseCertificate:
         return self.samples[1] if d == 1 else self.cert(d, self.prime_powers(d))
 
+    def document(self, d: int) -> bytes:
+        """marshal.dumps(case(d).to_doc(), 2): the fixed chunks joined by the
+        encodings of the moving leaves at d.  Like to_doc, it raises
+        ValueError on an int too long to print, and it does so before
+        factoring 4d."""
+        if d == 1:
+            return self.first
+        values = [leaf and leaf[0] + leaf[1] * d for leaf in self.moving]  # None: prime powers
+        # 4d is an entry, and no prime power of N's divisors exceeds it
+        str(max(abs(v) for v in values if v is not None))
+        pp = list(self.prime_powers(d))
+        parts = [self.chunks[0]]
+        for v, chunk in zip(values, self.chunks[1:]):
+            parts += marshal.dumps(pp if v is None else v, 2), chunk
+        return b"".join(parts)
+
 
 @cache  # one family per sigma, built on first use: keyed by sigma, never by d
 def _family(sigma: int) -> _Family:
@@ -493,22 +548,30 @@ def _family(sigma: int) -> _Family:
 
     _compute_case runs at each d of _SAMPLES with all its checks, count_norm
     included.  The template, fitted at d = 2 and 3, must prove the claims of
-    _disproved and equal the computed case at d = 4 and 5.  d = 1
+    _disproved and equal the computed case at d = 4 and 5, and the byte
+    view must be the computed case's bytes at every d of _SAMPLES.  d = 1
     is served by its own computed case, which must pass: at sigma 2 and 3
     the template's complement row (1, -d) is the negative of the one
     computed there.  Raises ValueError naming each claim that fails, or
     the error that stopped a sample's computation.
+
+    The byte view is the template's document for every d: marshal format 2
+    writes no back-references, so a document's bytes are its fixed parts
+    and its leaves' bytes in order, and both are affine leaf by leaf,
+    fitted from the same two samples.
     """
     try:
         fam = _Family(sigma)
     except ValueError as exc:  # a sample can raise: count_norm does on an indefinite N
         raise ValueError(f"the cases of sigma {sigma} are not proven: {exc}") from exc
     fails = _disproved(sigma, fam.cert)
-    fails += [
-        f"the template is the computed case at d = {d}"
-        for d in _SAMPLES[3:]  # it is at d = 2 and 3 by _fit, bar the prime powers
-        if not _same(fam.case(d).to_doc(), fam.samples[d].to_doc())
-    ]
+    for d in _SAMPLES:  # one claim at most per sample
+        computed = fam.samples[d].to_doc()
+        # the template is the computed case at d = 2 and 3 by _fit, bar the prime powers
+        if d > 3 and not _same(fam.case(d).to_doc(), computed):
+            fails.append(f"the template is the computed case at d = {d}")
+        elif fam.document(d) != marshal.dumps(computed, 2):
+            fails.append(f"the byte view is the computed case at d = {d}")
     if not fam.samples[1].passed:
         fails.append("the computed case at d = 1 passes every check")
     if fails:
@@ -532,8 +595,9 @@ def _same(a, b) -> bool:
     """JSON equality that tells 1, 1.0 and true apart, and list from tuple:
     equal marshal format 2 bytes (type and content, no object references, so
     blind to shared or interned objects) settle it fast, else a type-exact
-    tree walk decides (the bytes see key order).  One side is a rebuilt
-    document, so a value marshal refuses (a cycle, too deep, not JSON) differs."""
+    tree walk decides (the bytes see key order, the walk does not).  One side
+    is a rebuilt document, so a value marshal refuses (a cycle, too deep, not
+    JSON) differs."""
     try:
         return marshal.dumps(a, 2) == marshal.dumps(b, 2) or _same_tree(a, b)
     except (ValueError, RecursionError):
@@ -559,7 +623,11 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     proven for every d, so every check in it passes.  Before any exact work
     the document must be a JSON object with exactly the nine fields of
     CaseCertificate.to_doc, sigma and d JSON integers, and (sigma, d) a pair
-    build_case accepts.  No other field reaches exact work.  A refusal names
+    build_case accepts.  No other field reaches exact work.  The document's
+    marshal format 2 bytes are compared with the family's byte view at d,
+    which is those of build_case(sigma, d).to_doc() without building either;
+    only when they differ are the view's bytes loaded and each field walked
+    type for type (so keys in another order still verify).  A refusal names
     each top-level field that differs.
     """
     if not isinstance(doc, dict):
@@ -575,14 +643,17 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     if error := _case_args_error(doc["sigma"], doc["d"]):
         return False, [error]
     try:
-        fresh = _family(doc["sigma"]).case(doc["d"]).to_doc()
+        view = _family(doc["sigma"]).document(doc["d"])
     except ValueError as exc:  # an unproven family, or an entry of over 4300 digits
         return False, [f"recomputation failed: {exc}"]
-    if _same(doc, fresh):
-        return True, []
-    return False, [
-        f"{k} does not match recomputation" for k in _DOC_FIELDS if not _same(doc[k], fresh[k])
-    ]
+    try:
+        if marshal.dumps(doc, 2) == view:
+            return True, []
+    except ValueError:  # marshal refuses it (a cycle, too deep, not JSON): it differs
+        pass
+    fresh = marshal.loads(view)
+    differ = [k for k in _DOC_FIELDS if not _same(doc[k], fresh[k])]
+    return not differ, [f"{k} does not match recomputation" for k in differ]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ src/, tests/, perfbench/ (which tier-1 reads) and pyproject.toml are copied
 to a temporary directory; the working tree is never edited.  One mutation at
 a time is written into the copy: a one-operator comparison negated, `and`
 <-> `or`, an int constant + 1, a bool flipped, or a `not` dropped.  Each
-mutant runs the named test files with -x under the conftest watchdog, and a
+mutant runs the named test files with -x under the conftest watchdog, with
+hypothesis's seed fixed at 0 so that a rerun draws the same examples, and a
 table of the mutants no test kills is printed.  Stdlib only; pytest does not
 collect this file.
 """
@@ -62,19 +63,37 @@ def _mutate(node: ast.AST) -> None:
 
 def _run(tmp: Path, tests: list[str]) -> str:
     env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", *tests]
+    # SIGTERM waits while the test process starts, so that the SystemExit it
+    # raises always finds a process to kill; the process starts unblocked
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])
     try:
-        run = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True, timeout=600)
-    except subprocess.TimeoutExpired:
-        return "hang"
-    if "Timeout (" in run.stderr + run.stdout:
+        run = subprocess.Popen(
+            cmd, cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            preexec_fn=lambda: signal.pthread_sigmask(signal.SIG_SETMASK, mask),
+        )
+    except BaseException:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        raise
+    with run:  # waits for the killed process on the way out
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a pending SIGTERM lands here
+            output = run.communicate(timeout=600)[0]
+        except subprocess.TimeoutExpired:
+            run.kill()
+            return "hang"
+        except BaseException:  # SystemExit from _terminate
+            run.kill()
+            raise
+    if "Timeout (" in output:
         return "hang"
     return "survived" if run.returncode == 0 else "killed"
 
 
 def _terminate(signum, frame):
-    # SystemExit unwinds the with-block: subprocess.run kills its test
-    # process and TemporaryDirectory removes the copy
+    # SystemExit unwinds the with-blocks: _run kills its test process and
+    # TemporaryDirectory removes the copy
     sys.exit(128 + signum)
 
 

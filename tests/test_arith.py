@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3enriques import arith
@@ -220,6 +220,9 @@ def test_pollard_brent_splits_odd_composites(n):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=1, max_value=10**12))
+# the last small prime is what is left of the gcd once p * p exceeds it
+@example(4 * 997)
+@example(2 * 991**2)
 def test_prime_powers_matches_trial_division(n):
     out = _prime_powers(n)
     assert out == trial_prime_powers(n)

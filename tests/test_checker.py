@@ -2,9 +2,10 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import marshal
 import sys
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -331,6 +332,10 @@ _SMOOTH_D = st.builds(
 def test_template_is_the_computed_case(sigma, d):
     computed = checker._compute_case(sigma, d).to_doc()
     assert checker._same(build_case(sigma, d).to_doc(), computed)
+    family = checker._family(sigma)
+    assert family.document(d) == marshal.dumps(computed, 2)
+    # the view moves the two prime-power lists and the 13 ints that change with d
+    assert len(family.moving) == 15 and family.moving.count(None) == 2
     assert verify_certificate(computed) == (True, [])
 
 
@@ -364,10 +369,18 @@ def test_warm_families_build_and_verify_without_kernels(monkeypatch):
     monkeypatch.setattr(
         checker, "count_norm", lambda *a: calls.update(["count_norm"]) or counted(*a)
     )
-    for sigma in (2, 3, 4, 5):
-        for d in (1, 10**12 + 39, 2**127 - 1, 2**4000 * 3):
-            doc = json.loads(json.dumps(build_case(sigma, d).to_doc()))
-            assert verify_certificate(doc) == (True, [])
+    docs = [
+        json.loads(json.dumps(build_case(sigma, d).to_doc()))
+        for sigma in (2, 3, 4, 5)
+        for d in (1, 10**12 + 39, 2**127 - 1, 2**4000 * 3)
+    ]
+    # a warm verification compares bytes: it builds no document and
+    # compares no field on its own
+    to_json, same = checker._json, checker._same
+    monkeypatch.setattr(checker, "_json", lambda *a: calls.update(["_json"]) or to_json(*a))
+    monkeypatch.setattr(checker, "_same", lambda *a: calls.update(["_same"]) or same(*a))
+    for doc in docs:
+        assert verify_certificate(doc) == (True, [])
     assert not calls, calls
 
 
@@ -403,6 +416,14 @@ def _detached_e8(rows):
     rows[9][9] = -2
     ambient = IntegralLattice(rows)
     return lambda: ambient
+
+
+class _CorruptedView(checker._Family):
+    # the byte view with the last byte of its first chunk changed; the
+    # template, and every claim about it, still hold
+    def __init__(self, sigma):
+        super().__init__(sigma)
+        self.chunks[0] = self.chunks[0][:-1] + bytes([self.chunks[0][-1] ^ 1])
 
 
 def _rooted_e8(rows):
@@ -441,12 +462,18 @@ def _rooted_e8(rows):
             lambda: setattr(checker, "_gamma2", _rooted_e8(checker._gamma2().gram.rows)),
             "short-vector enumeration requires a definite lattice",
         ),
+        (
+            4,
+            lambda: setattr(checker, "_Family", _CorruptedView),
+            "the byte view is the computed case at d = 2",
+        ),
     ],
     ids=[
         "n_divisors-off-by-one",
         "e_columns-not-orthogonal",
         "ambient-with-a-root",
         "ambient-with-an-attached-root",
+        "byte-view-corrupted",
     ],
 )
 def test_family_proof_can_fail(monkeypatch, sigma, patch, claim):
@@ -455,6 +482,7 @@ def test_family_proof_can_fail(monkeypatch, sigma, patch, claim):
     doc = json.loads(json.dumps(build_case(sigma, 7).to_doc()))
     monkeypatch.setattr(checker, "_CASES", dict(checker._CASES))
     monkeypatch.setattr(checker, "_gamma2", checker._gamma2)
+    monkeypatch.setattr(checker, "_Family", checker._Family)
     patch()
     checker._family.cache_clear()
     build_case.cache_clear()
@@ -691,6 +719,8 @@ def test_verify_accepts_sorted_keys():
     doc = json.loads(json.dumps(build_case(3, 5).to_doc(), sort_keys=True))
     assert list(doc["checks"][1]["witness"]) == ["expected_diagonal", "gram"]
     assert verify_certificate(doc) == (True, [])
+    # marshal refuses a dict subclass, so its fields are compared one by one
+    assert verify_certificate(OrderedDict(doc)) == (True, [])
 
 
 @pytest.mark.parametrize("keys", [lambda ks: [], list, " ".join], ids=["empty", "list", "string"])
@@ -763,6 +793,12 @@ def test_to_doc_refuses_ints_json_cannot_print(sigma):
     json.dumps(build_case(sigma, 10**4296).to_doc())
     with pytest.raises(ValueError, match="Exceeds the limit"):
         build_case(sigma, 10**4297).to_doc()
+    # the template's document past the limit, built without the digit check,
+    # is refused as one JSON could never carry
+    doc = checker._json(build_case(sigma, 10**4297), [])
+    ok, messages = verify_certificate(doc)
+    assert not ok and len(messages) == 1
+    assert messages[0].startswith("recomputation failed: Exceeds the limit")
 
 
 def test_same_is_type_exact_and_never_raises():
