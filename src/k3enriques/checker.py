@@ -116,6 +116,11 @@ class Check:
 
 @dataclass(frozen=True)
 class CaseCertificate:
+    # _view, set only by _Family.case, is (family, pp): this certificate is
+    # that family's case at its d, its prime-power witnesses pp.  A slot, so
+    # it is no field, and vars() and _json never see it
+    __slots__ = ("__dict__", "__weakref__", "_view")
+
     sigma: int
     d: int
     ambient_gram: tuple
@@ -126,8 +131,17 @@ class CaseCertificate:
     notes: tuple
     passed: bool
 
+    def __getstate__(self):  # copy.copy keeps the fields, not the tag
+        return vars(self)
+
     def to_doc(self) -> dict:
-        return _doc(self)
+        """_doc(self); a family's case is loaded from the family's byte view,
+        which is its document for every d, instead of walked."""
+        view = getattr(self, "_view", None)
+        if view is None:
+            return _doc(self)
+        family, pp = view
+        return marshal.loads(family.document(self.d, pp))
 
 
 def _doc(report) -> dict:
@@ -501,13 +515,16 @@ class _Family:
     template fitted at d = 2 and 3.  Parts that do not depend on d are
     shared.  Next to the template it keeps the same fit as bytes: the
     marshal format 2 encoding of the d = 2 document cut at its moving leaves
-    into fixed chunks.  _family proves both before any use."""
+    into fixed chunks.  _family proves both before any use.  Each case it
+    hands out is tagged with the family, so its to_doc() loads the byte
+    view at its d instead of walking its fields."""
 
     def __init__(self, sigma: int):
         self.samples = {d: _compute_case(sigma, d) for d in _SAMPLES}
         self.cert = _fit(self.samples[2], self.samples[3])  # cert(d, pp)
         self.base = tuple(q for x in _CASES[sigma].n_divisors for q in _prime_powers(x))
-        self.first = marshal.dumps(self.samples[1].to_doc(), 2)  # served at d = 1
+        self.first = marshal.dumps(_doc(self.samples[1]), 2)  # served at d = 1
+        object.__setattr__(self.samples[1], "_view", (self, None))
         self.moving = []
         rest = marshal.dumps(
             _marked(self.samples[2].to_doc(), self.samples[3].to_doc(), self.moving), 2
@@ -523,19 +540,24 @@ class _Family:
         return tuple(sorted((*self.base, *_prime_powers(4 * d))))
 
     def case(self, d: int) -> CaseCertificate:
-        return self.samples[1] if d == 1 else self.cert(d, self.prime_powers(d))
+        if d == 1:
+            return self.samples[1]  # tagged by __init__
+        pp = self.prime_powers(d)
+        cert = self.cert(d, pp)
+        object.__setattr__(cert, "_view", (self, pp))
+        return cert
 
-    def document(self, d: int) -> bytes:
-        """marshal.dumps(case(d).to_doc(), 2): the fixed chunks joined by the
-        encodings of the moving leaves at d.  Like to_doc, it raises
-        ValueError on an int too long to print, and it does so before
-        factoring 4d."""
+    def document(self, d: int, pp: tuple | None = None) -> bytes:
+        """marshal.dumps(_doc(case(d)), 2): the fixed chunks joined by the
+        encodings of the moving leaves at d, pp being prime_powers(d) when
+        the caller already has it.  Like _doc, it raises ValueError on an
+        int too long to print, and it does so before factoring 4d."""
         if d == 1:
             return self.first
         values = [leaf and leaf[0] + leaf[1] * d for leaf in self.moving]  # None: prime powers
         # 4d is an entry, and no prime power of N's divisors exceeds it
         str(max(abs(v) for v in values if v is not None))
-        pp = list(self.prime_powers(d))
+        pp = list(self.prime_powers(d) if pp is None else pp)
         parts = [self.chunks[0]]
         for v, chunk in zip(values, self.chunks[1:]):
             parts += marshal.dumps(pp if v is None else v, 2), chunk
@@ -558,7 +580,9 @@ def _family(sigma: int) -> _Family:
     The byte view is the template's document for every d: marshal format 2
     writes no back-references, so a document's bytes are its fixed parts
     and its leaves' bytes in order, and both are affine leaf by leaf,
-    fitted from the same two samples.
+    fitted from the same two samples.  So the to_doc() of a case the family
+    hands out loads the view, and the template's own fields are compared
+    here through _doc.
     """
     try:
         fam = _Family(sigma)
@@ -566,9 +590,9 @@ def _family(sigma: int) -> _Family:
         raise ValueError(f"the cases of sigma {sigma} are not proven: {exc}") from exc
     fails = _disproved(sigma, fam.cert)
     for d in _SAMPLES:  # one claim at most per sample
-        computed = fam.samples[d].to_doc()
+        computed = _doc(fam.samples[d])
         # the template is the computed case at d = 2 and 3 by _fit, bar the prime powers
-        if d > 3 and not _same(fam.case(d).to_doc(), computed):
+        if d > 3 and not _same(_doc(fam.case(d)), computed):
             fails.append(f"the template is the computed case at d = {d}")
         elif fam.document(d) != marshal.dumps(computed, 2):
             fails.append(f"the byte view is the computed case at d = {d}")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import importlib
@@ -5,6 +6,7 @@ import json
 import marshal
 import sys
 import time
+import weakref
 from collections import Counter, OrderedDict
 from fractions import Fraction
 from itertools import permutations, product
@@ -332,6 +334,8 @@ _SMOOTH_D = st.builds(
 def test_template_is_the_computed_case(sigma, d):
     computed = checker._compute_case(sigma, d).to_doc()
     assert checker._same(build_case(sigma, d).to_doc(), computed)
+    # to_doc() serves the byte view, so the template's own fields are walked too
+    assert checker._same(checker._doc(build_case(sigma, d)), computed)
     family = checker._family(sigma)
     assert family.document(d) == marshal.dumps(computed, 2)
     # the view moves the two prime-power lists and the 13 ints that change with d
@@ -347,6 +351,7 @@ def test_d_1_is_served_by_its_computed_case(sigma):
     family = checker._family(sigma)
     computed = checker._compute_case(sigma, 1).to_doc()
     assert checker._same(build_case(sigma, 1).to_doc(), computed)
+    assert checker._same(checker._doc(build_case(sigma, 1)), computed)
     template = family.cert(1, family.prime_powers(1)).to_doc()
     differ = {
         path: (value, other)
@@ -369,19 +374,25 @@ def test_warm_families_build_and_verify_without_kernels(monkeypatch):
     monkeypatch.setattr(
         checker, "count_norm", lambda *a: calls.update(["count_norm"]) or counted(*a)
     )
-    docs = [
-        json.loads(json.dumps(build_case(sigma, d).to_doc()))
-        for sigma in (2, 3, 4, 5)
-        for d in (1, 10**12 + 39, 2**127 - 1, 2**4000 * 3)
-    ]
-    # a warm verification compares bytes: it builds no document and
-    # compares no field on its own
-    to_json, same = checker._json, checker._same
+    to_json, same, factor = checker._json, checker._same, checker._prime_powers
     monkeypatch.setattr(checker, "_json", lambda *a: calls.update(["_json"]) or to_json(*a))
     monkeypatch.setattr(checker, "_same", lambda *a: calls.update(["_same"]) or same(*a))
+    monkeypatch.setattr(
+        checker, "_prime_powers", lambda n: calls.update(["_prime_powers"]) or factor(n)
+    )
+    docs = []
+    for sigma, d in product((2, 3, 4, 5), (1, 10**12 + 39, 2**127 - 1, 2**4000 * 3)):
+        # a warm build factors 4d once, for the certificate, and its
+        # document is the family's byte view at d: no field walk, no second
+        # factoring; d = 1 is served by its computed case
+        docs.append(json.loads(json.dumps(build_case(sigma, d).to_doc())))
+        assert calls == Counter({"_prime_powers": int(d > 1)}), (sigma, d, calls)
+        calls.clear()
+    # a warm verification compares bytes: it builds no document and
+    # compares no field on its own; it factors 4d once for the view
     for doc in docs:
         assert verify_certificate(doc) == (True, [])
-    assert not calls, calls
+    assert calls == Counter({"_prime_powers": 12}), calls
 
 
 def test_family_computes_only_its_samples(monkeypatch):
@@ -786,19 +797,74 @@ def test_to_doc_shares_nothing_with_the_cached_certificate():
         assert [json.dumps(r.to_doc()) for r in reports] == texts
 
 
+def test_served_to_doc_is_the_certificates_own_document():
+    # a case of the family loads its document from the byte view, which
+    # must be, byte for byte, the walk of that certificate's own fields
+    certs = [build_case(sigma, d) for sigma, d in _PINNED]
+    certs += [build_case(sigma, 10**4296) for sigma in (2, 3, 4, 5)]
+    for cert in certs:
+        assert cert._view[0] is checker._family(cert.sigma)
+        assert marshal.dumps(cert.to_doc(), 2) == marshal.dumps(checker._doc(cert), 2)
+    # the samples that are no case of d = 1 are walked
+    for sigma in (2, 3, 4, 5):
+        assert not hasattr(checker._family(sigma).samples[2], "_view")
+
+
+def test_changed_certificate_shows_its_own_fields():
+    # the view is sound for a tagged certificate only while it is unchanged:
+    # it is frozen, its tag included, and a changed copy carries no tag
+    cert = build_case(3, 7)
+    for name in ("passed", "_view"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cert, name, None)
+    copied = dataclasses.replace(cert)
+    assert copied == cert and not hasattr(copied, "_view")
+    shallow = copy.copy(cert)
+    assert shallow == cert and shallow is not cert and weakref.ref(cert)() is cert
+    failed = dataclasses.replace(cert, passed=False)
+    assert failed.to_doc()["passed"] is False
+    changed = _with_witness("glue_index_integral", index_squared=0)(cert)
+    glue = changed.to_doc()["checks"][-1]
+    assert glue["name"] == "glue_index_integral" and glue["witness"]["index_squared"] == 0
+    by_hand = checker.CaseCertificate(**{k: getattr(cert, k) for k in checker._DOC_FIELDS})
+    for other in (copied, shallow, failed, changed, by_hand):
+        assert marshal.dumps(other.to_doc(), 2) == marshal.dumps(checker._doc(other), 2)
+    assert verify_certificate(failed.to_doc()) == (False, ["passed does not match recomputation"])
+    assert verify_certificate(changed.to_doc()) == (False, ["checks does not match recomputation"])
+
+
+def test_tag_is_in_no_document():
+    fields = list(checker._DOC_FIELDS)
+    assert [f.name for f in dataclasses.fields(checker.CaseCertificate)] == fields
+    for sigma, d in _PINNED:
+        cert = build_case(sigma, d)
+        assert hasattr(cert, "_view") and list(vars(cert)) == fields
+        assert list(checker._json(cert, [])) == list(cert.to_doc()) == fields
+    for p in (1000003, 23):
+        for sigma in (2, 3, 4, 5):
+            doc = decide_enriques(p, sigma).to_doc()
+            assert "_view" not in json.dumps(doc)
+            if doc["certificate"] is not None:
+                assert list(doc["certificate"]) == fields
+
+
 @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
-def test_to_doc_refuses_ints_json_cannot_print(sigma):
+def test_to_doc_refuses_ints_json_cannot_print(monkeypatch, sigma):
     # the largest entry is d_n = -+1024 d: 4300 digits at d = 10^4296, the
     # int-to-str limit, and 4301 at d = 10^4297
     json.dumps(build_case(sigma, 10**4296).to_doc())
+    cert = build_case(sigma, 10**4297)
+    # the template's document past the limit, built without the digit check
+    doc = checker._json(cert, [])
+    factored, factor = [], checker._prime_powers
+    monkeypatch.setattr(checker, "_prime_powers", lambda n: factored.append(n) or factor(n))
     with pytest.raises(ValueError, match="Exceeds the limit"):
-        build_case(sigma, 10**4297).to_doc()
-    # the template's document past the limit, built without the digit check,
-    # is refused as one JSON could never carry
-    doc = checker._json(build_case(sigma, 10**4297), [])
+        cert.to_doc()
+    # is refused as one JSON could never carry, before 4d is factored
     ok, messages = verify_certificate(doc)
     assert not ok and len(messages) == 1
     assert messages[0].startswith("recomputation failed: Exceeds the limit")
+    assert factored == []
 
 
 def test_same_is_type_exact_and_never_raises():
