@@ -116,7 +116,7 @@ class Check:
 
 @dataclass(frozen=True)
 class CaseCertificate:
-    # _view, set only by _Family.case, is (family, pp): this certificate is
+    # _view, set only by _Family, is (family, pp): this certificate is
     # that family's case at its d, its prime-power witnesses pp.  A slot, so
     # it is no field, and vars() and _json never see it
     __slots__ = ("__dict__", "__weakref__", "_view")
