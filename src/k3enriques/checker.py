@@ -118,7 +118,8 @@ class Check:
 class CaseCertificate:
     # _view, set only by _Family, is (family, pp): this certificate is
     # that family's case at its d, its prime-power witnesses pp.  A slot, so
-    # it is no field, and vars() and _json never see it
+    # it is no field, and vars() and _json never see it.  A case the family
+    # hands out for d > 1 holds only sigma and d until a field is first read
     __slots__ = ("__dict__", "__weakref__", "_view")
 
     sigma: int
@@ -131,8 +132,17 @@ class CaseCertificate:
     notes: tuple
     passed: bool
 
-    def __getstate__(self):  # copy.copy keeps the fields, not the tag
-        return vars(self)
+    def __getattr__(self, name):  # a field not filled yet
+        if name not in _DOC_FIELDS:
+            raise AttributeError(name)
+        return self.__getstate__()[name]
+
+    def __getstate__(self):  # the fields, filled from the template; copy.copy keeps no tag
+        state = vars(self)
+        if len(state) < len(_DOC_FIELDS):
+            family, pp = self._view
+            state.update(vars(family.cert(self.d, pp)))
+        return state
 
     def to_doc(self) -> dict:
         """_doc(self); a family's case is loaded from the family's byte view,
@@ -168,7 +178,9 @@ def _json(x, ints: list):
         return x
     if t is str or t is bool or x is None:
         return x
-    if t is not dict and t is not MappingProxyType:
+    if t is CaseCertificate:
+        x = x.__getstate__()  # its fields, filled, in order
+    elif t is not dict and t is not MappingProxyType:
         x = vars(x)  # a report: its fields, in order
     return {k: _json(v, ints) for k, v in x.items()}
 
@@ -517,7 +529,8 @@ class _Family:
     marshal format 2 encoding of the d = 2 document cut at its moving leaves
     into fixed chunks.  _family proves both before any use.  Each case it
     hands out is tagged with the family, so its to_doc() loads the byte
-    view at its d instead of walking its fields."""
+    view at its d instead of walking its fields; for d > 1 the template is
+    evaluated into its fields only when one is first read."""
 
     def __init__(self, sigma: int):
         self.samples = {d: _compute_case(sigma, d) for d in _SAMPLES}
@@ -542,9 +555,9 @@ class _Family:
     def case(self, d: int) -> CaseCertificate:
         if d == 1:
             return self.samples[1]  # tagged by __init__
-        pp = self.prime_powers(d)
-        cert = self.cert(d, pp)
-        object.__setattr__(cert, "_view", (self, pp))
+        cert = object.__new__(CaseCertificate)  # cert(d, pp) on its first field read
+        vars(cert).update(sigma=self.samples[1].sigma, d=d)
+        object.__setattr__(cert, "_view", (self, self.prime_powers(d)))
         return cert
 
     def document(self, d: int, pp: tuple | None = None) -> bytes:
@@ -591,8 +604,9 @@ def _family(sigma: int) -> _Family:
     fails = _disproved(sigma, fam.cert)
     for d in _SAMPLES:  # one claim at most per sample
         computed = _doc(fam.samples[d])
-        # the template is the computed case at d = 2 and 3 by _fit, bar the prime powers
-        if d > 3 and not _same(_doc(fam.case(d)), computed):
+        # the template is the computed case at d = 2 and 3 by _fit, bar the
+        # prime powers; its own fields are walked, never the byte view
+        if d > 3 and not _same(_doc(fam.cert(d, fam.prime_powers(d))), computed):
             fails.append(f"the template is the computed case at d = {d}")
         elif fam.document(d) != marshal.dumps(computed, 2):
             fails.append(f"the byte view is the computed case at d = {d}")
@@ -748,7 +762,11 @@ class Verdict:
     certificate: CaseCertificate | None = None
 
     def to_doc(self) -> dict:
-        return _doc(self)
+        """_doc(self), with the certificate's own to_doc() in its place."""
+        doc = _doc({**vars(self), "certificate": None})
+        if self.certificate is not None:
+            doc["certificate"] = self.certificate.to_doc()
+        return doc
 
 
 def decide_enriques(p: int, sigma: int) -> Verdict:

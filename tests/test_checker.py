@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import marshal
+import pickle
 import sys
 import time
 import weakref
@@ -380,11 +381,18 @@ def test_warm_families_build_and_verify_without_kernels(monkeypatch):
     monkeypatch.setattr(
         checker, "_prime_powers", lambda n: calls.update(["_prime_powers"]) or factor(n)
     )
+    for sigma in (2, 3, 4, 5):  # each evaluation of a family's template
+        family = checker._family(sigma)
+        template = family.cert
+        monkeypatch.setattr(
+            family, "cert", lambda d, pp, t=template: calls.update(["cert"]) or t(d, pp)
+        )
     docs = []
     for sigma, d in product((2, 3, 4, 5), (1, 10**12 + 39, 2**127 - 1, 2**4000 * 3)):
         # a warm build factors 4d once, for the certificate, and its
-        # document is the family's byte view at d: no field walk, no second
-        # factoring; d = 1 is served by its computed case
+        # document is the family's byte view at d: no template evaluation,
+        # no field walk, no second factoring; d = 1 is served by its
+        # computed case
         docs.append(json.loads(json.dumps(build_case(sigma, d).to_doc())))
         assert calls == Counter({"_prime_powers": int(d > 1)}), (sigma, d, calls)
         calls.clear()
@@ -418,13 +426,14 @@ def test_family_computes_only_its_samples(monkeypatch):
     assert len(computed) == 20
 
 
-def _detached_e8(rows):
+def _detached_e8(rows, norm=-2):
     # the ambient with its last E8(2) vector cut off from the others and of
-    # norm -2: a root orthogonal to the case basis of sigma 2, so it lies in N
+    # the given norm: orthogonal to the case basis of sigma 2, so it lies in
+    # N; of norm -2 it is a root, of norm -6 N has none, yet its norms leave 4Z
     rows = [list(r) for r in rows]
     for i in range(9):
         rows[i][9] = rows[9][i] = 0
-    rows[9][9] = -2
+    rows[9][9] = norm
     ambient = IntegralLattice(rows)
     return lambda: ambient
 
@@ -447,7 +456,7 @@ def _rooted_e8(rows):
 
 
 @pytest.mark.parametrize(
-    "sigma, patch, claim",
+    "sigma, patch, claim, roots",
     [
         (
             5,
@@ -455,6 +464,7 @@ def _rooted_e8(rows):
                 {5: dataclasses.replace(checker._CASES[5], n_divisors=(5,))}
             ),
             "N's divisors are (4d, *n_divisors) as a multiset",
+            None,
         ),
         (
             3,
@@ -462,32 +472,43 @@ def _rooted_e8(rows):
                 {3: dataclasses.replace(checker._CASES[3], e_columns=(2, 4, 6))}
             ),
             "E G E^T is the embedded Gram",
+            None,
         ),
         (
             2,
             lambda: setattr(checker, "_gamma2", _detached_e8(checker._gamma2().gram.rows)),
             "N's norms lie in 4Z, so N has no root",
+            2,
+        ),
+        (
+            2,
+            lambda: setattr(checker, "_gamma2", _detached_e8(checker._gamma2().gram.rows, -6)),
+            "N's norms lie in 4Z, so N has no root",
+            0,
         ),
         (
             2,
             lambda: setattr(checker, "_gamma2", _rooted_e8(checker._gamma2().gram.rows)),
             "short-vector enumeration requires a definite lattice",
+            None,
         ),
         (
             4,
             lambda: setattr(checker, "_Family", _CorruptedView),
             "the byte view is the computed case at d = 2",
+            None,
         ),
     ],
     ids=[
         "n_divisors-off-by-one",
         "e_columns-not-orthogonal",
         "ambient-with-a-root",
+        "ambient-with-a-norm-6-vector",
         "ambient-with-an-attached-root",
         "byte-view-corrupted",
     ],
 )
-def test_family_proof_can_fail(monkeypatch, sigma, patch, claim):
+def test_family_proof_can_fail(monkeypatch, sigma, patch, claim, roots):
     # every vector of U(2) + E8(2) has norm in 4Z, so no _CASES entry gives N
     # a root; the ambient is patched for that claim instead
     doc = json.loads(json.dumps(build_case(sigma, 7).to_doc()))
@@ -497,6 +518,18 @@ def test_family_proof_can_fail(monkeypatch, sigma, patch, claim):
     patch()
     checker._family.cache_clear()
     build_case.cache_clear()
+    if roots is not None:
+        # each sample's own checks fail: a root v is counted as the pair
+        # +-v, N's diagonal leaves 4Z while its Gram stays even, N gains a
+        # divisor, and the glue index squared, 2^17 or 3 * 2^17, is no square
+        for d in checker._SAMPLES:
+            checks = {c.name: c for c in checker._compute_case(sigma, d).checks}
+            witness = {name: dict(check.witness) for name, check in checks.items()}
+            assert witness["n_norms_in_4Z"] == {"gram_even": True, "diagonal_mod4_zero": False}
+            assert witness["n_root_free"] == {"enumeration_count": roots, "mod4_shortcut": False}
+            assert witness["glue_index_integral"]["index_squared"] in (2**17, 3 * 2**17)
+            failing = ["n_norms_in_4Z", "n_root_free", "n_divisors", "glue_index_integral"]
+            assert [name for name in checks if not checks[name].passed] == failing
     try:
         with pytest.raises(ValueError, match=f"the cases of sigma {sigma} are not proven: .*"):
             checker._family(sigma)
@@ -508,6 +541,16 @@ def test_family_proof_can_fail(monkeypatch, sigma, patch, claim):
     finally:
         checker._family.cache_clear()
         build_case.cache_clear()
+
+
+def test_sample_rank_check_fails_on_a_short_case_basis(monkeypatch):
+    # sigma 3 without e3: C still has rank 10 - rank E, but N gains a rank
+    # and M loses one, so one conjunct holds and the check fails
+    short = dataclasses.replace(checker._CASES[3], e_columns=(2, 4))
+    monkeypatch.setattr(checker, "_CASES", {**checker._CASES, 3: short})
+    check = _check(checker._compute_case(3, 7), "complement_rank")
+    assert check.witness == {"complement_rank": 7, "n_rank": 7, "n_rank_expected": 6}
+    assert not check.passed
 
 
 def _with_witness(name, **changes):
@@ -837,15 +880,68 @@ def test_tag_is_in_no_document():
     fields = list(checker._DOC_FIELDS)
     assert [f.name for f in dataclasses.fields(checker.CaseCertificate)] == fields
     for sigma, d in _PINNED:
-        cert = build_case(sigma, d)
-        assert hasattr(cert, "_view") and list(vars(cert)) == fields
-        assert list(checker._json(cert, [])) == list(cert.to_doc()) == fields
-    for p in (1000003, 23):
+        # a fresh case of the family: for d > 1 it holds sigma and d until a
+        # field is read, and to_doc() reads none; d = 1 is its computed case
+        cert = checker._family(sigma).case(d)
+        lazy = fields if d == 1 else ["sigma", "d"]
+        assert hasattr(cert, "_view") and list(vars(cert)) == lazy
+        assert list(cert.to_doc()) == fields and list(vars(cert)) == lazy
+        # _json fills every field, in order, and never the tag
+        assert list(checker._json(cert, [])) == fields
+        assert list(vars(cert)) == fields and hasattr(cert, "_view")
+    build_case.cache_clear()  # an earlier read would have filled a cached case
+    for p in (1000003, 1000033, 23):
         for sigma in (2, 3, 4, 5):
-            doc = decide_enriques(p, sigma).to_doc()
+            verdict = decide_enriques(p, sigma)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                verdict.certificate = None  # the one its document splices in
+            doc = verdict.to_doc()
             assert "_view" not in json.dumps(doc)
             if doc["certificate"] is not None:
+                # the certificate's own to_doc(), which fills no field
                 assert list(doc["certificate"]) == fields
+                assert len(vars(verdict.certificate)) == (9 if verdict.d == 1 else 2)
+
+
+def _outcome(read, cert):
+    # what a reader gives: the repr of its value, or the error it raises
+    try:
+        return repr(read(cert))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_READERS = {
+    **{name: (lambda name: lambda c: getattr(c, name))(name) for name in checker._DOC_FIELDS},
+    "==": lambda c: (c == c, c != c),
+    "repr": repr,
+    "replace": dataclasses.replace,
+    "copy": copy.copy,
+    # these three raise on both: a Check's read-only witness cannot be pickled
+    "asdict": dataclasses.asdict,
+    "deepcopy": copy.deepcopy,
+    "pickle": pickle.dumps,
+    "to_doc": lambda c: marshal.dumps(c.to_doc(), 2),
+}
+
+
+@pytest.mark.parametrize(
+    "sigma, d", _PINNED + [(s, 10**4296) for s in (2, 3, 4, 5)], ids=lambda x: str(x)[:8]
+)
+def test_served_case_reads_as_its_template(sigma, d):
+    # every public reader of a fresh served case, each its first read, gives
+    # what it gives on the template's (at d = 1 the computed case's) certificate
+    family = checker._family(sigma)
+    if d == 1:
+        template = checker._compute_case(sigma, 1)
+    else:
+        template = family.cert(d, family.prime_powers(d))
+    for name, read in _READERS.items():
+        cert = family.case(d)
+        assert len(vars(cert)) == (9 if d == 1 else 2)
+        assert _outcome(read, cert) == _outcome(read, template), name
+        assert cert == template and template == cert and repr(cert) == repr(template)
+        assert list(vars(cert)) == list(checker._DOC_FIELDS), name
 
 
 @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
